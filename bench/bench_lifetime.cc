@@ -39,8 +39,8 @@ benchEngine(benchmark::State &state, const std::string &spec)
     p.seed = 4242;
     for (auto _ : state) {
         const tdc::LifetimeResult res =
-            tdc::runLifetime(p, [&](uint64_t seed) {
-                return scheme->openLifetimeSession(seed);
+            tdc::runLifetime(p, [&](tdc::Rng &fill) {
+                return scheme->openSession(fill);
             });
         benchmark::DoNotOptimize(res);
     }

@@ -2,7 +2,7 @@
  * @file
  * Minimal worker-pool parallel-for for the simulation sweeps.
  *
- * The Monte-Carlo drivers (recovery sweeps, yield/soft-error trials,
+ * The Monte-Carlo drivers (injection cells, yield/soft-error trials,
  * CMP simulation batches) are embarrassingly parallel across trials.
  * This utility shards such loops over a small persistent thread pool
  * with no external dependencies. Determinism is the caller's contract:

@@ -2,9 +2,7 @@
  * @file
  * The tdc_run CLI driver: one entry point for every figure of the
  * study and every scheme x fault x workload scenario the spec-string
- * grammars can express. The bench_fig* binaries are one-line wrappers
- * over tdcRunMain({"--figure", "figN"}), so their stdout and the
- * driver's are the same bytes by construction.
+ * grammars can express; every figure of the paper is one --figure key.
  *
  *   tdc_run --figure fig3                      # any registered figure
  *   tdc_run --scheme 2d:edc16/i2+vp32/w256 \

@@ -212,8 +212,8 @@ runTrial(const LifetimeParams &p, const DeviceSessionFactory &factory,
     if (timeline.empty())
         return out; // nothing arrived: trivially survives
 
-    std::unique_ptr<DeviceSession> session =
-        factory(shardSeed(trial_seed, kSeedDomainLifetime, 1));
+    Rng fill(shardSeed(trial_seed, kSeedDomainLifetime, 1));
+    std::unique_ptr<DeviceSession> session = factory(fill);
     int spares = p.spareRows;
 
     size_t i = 0;

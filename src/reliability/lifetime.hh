@@ -24,7 +24,7 @@
  * The engine lives in reliability/ below the scheme registry, so it
  * sees devices only through the DeviceSession interface; the scheme
  * layer implements sessions per family (scheme/scheme.hh:
- * ProtectionScheme::openLifetimeSession, cachedSchemeLifetime).
+ * ProtectionScheme::openSession, cachedSchemeLifetime).
  */
 
 #ifndef TDC_RELIABILITY_LIFETIME_HH
@@ -44,11 +44,11 @@ namespace tdc
 {
 
 /**
- * One device under lifetime test: a per-trial session over a protected
- * array, holding the golden data it was filled with. The engine drives
- * it with inject / scrubAndVerify / repairRow; the concrete families
- * (conv/wt, 2d, prod) implement the verbs with exactly the machinery
- * their injectAndRecover trials use.
+ * One device under test: a per-trial session over a protected array,
+ * holding the golden data it was filled with. The lifetime engine
+ * drives it with inject / scrubAndVerify / repairRow over mission
+ * time; a one-event injection cell (ProtectionScheme::injectAndRecover)
+ * is the same session driven by a single inject + scrubAndVerify.
  */
 class DeviceSession
 {
@@ -87,9 +87,9 @@ class DeviceSession
     virtual void repairRow(size_t row) = 0;
 };
 
-/** Builds a fresh session whose golden fill derives from @p seed. */
+/** Builds a fresh session whose golden fill is drawn from @p fill. */
 using DeviceSessionFactory =
-    std::function<std::unique_ptr<DeviceSession>(uint64_t seed)>;
+    std::function<std::unique_ptr<DeviceSession>(Rng &fill)>;
 
 /** One fault class of a FIT mix: a footprint plus its arrival rates. */
 struct FitClass

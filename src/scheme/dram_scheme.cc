@@ -1,43 +1,21 @@
 #include "scheme/dram_scheme.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <set>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "dram/chip_iecc.hh"
 #include "ecc/reed_solomon.hh"
+#include "scheme/spec_parse.hh"
 
 namespace tdc
 {
 
 namespace
 {
-
-[[noreturn]] void
-specError(const std::string &spec, const std::string &what)
-{
-    throw std::invalid_argument("scheme spec \"" + spec + "\": " + what);
-}
-
-size_t
-parseNumber(const std::string &spec, const std::string &token,
-            const std::string &digits, size_t lo, size_t hi)
-{
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos)
-        specError(spec, "malformed number in \"" + token + "\"");
-    const unsigned long long v = std::strtoull(digits.c_str(), nullptr, 10);
-    if (v < lo || v > hi)
-        specError(spec, "value out of range [" + std::to_string(lo) + ".." +
-                            std::to_string(hi) + "] in \"" + token + "\"");
-    return size_t(v);
-}
 
 /** Data chips per rank: 12 for x4 (RS(15,12)), 8 for x8 (RS(11,8)). */
 size_t
@@ -46,141 +24,22 @@ dataChipsForWidth(size_t symbol_bits)
     return symbol_bits == 4 ? 12 : 8;
 }
 
-/** Golden content + side-stored IECC check words of one rank. */
-struct RankState
-{
-    /** golden[row] = the encoded codeword the rank was filled with. */
-    std::vector<std::vector<uint32_t>> golden;
-
-    /** checks[row][chip] = IECC check word (IECC variant only). */
-    std::vector<std::vector<uint32_t>> checks;
-};
-
 /**
- * Fill @p dram with random data symbols, RS-encode every row, and
- * (for IECC) compute the per-chip check words — the golden state every
- * trial and session verifies against.
- */
-RankState
-fillRank(DramArray &dram, const SymbolRsCode &rs, const ChipSecded *iecc,
-         Rng &rng)
-{
-    const DramGeometry &g = dram.geometry();
-    RankState state;
-    state.golden.assign(g.rows(), std::vector<uint32_t>(g.chips, 0));
-    if (iecc)
-        state.checks.assign(g.rows(), std::vector<uint32_t>(g.chips, 0));
-    const uint64_t symbols = uint64_t(1) << g.symbolBits;
-    for (size_t r = 0; r < g.rows(); ++r) {
-        std::vector<uint32_t> &word = state.golden[r];
-        for (size_t i = SymbolRsCode::kCheckSymbols; i < g.chips; ++i)
-            word[i] = uint32_t(rng.nextBelow(symbols));
-        rs.encode(word);
-        dram.writeCodeword(r, word);
-        if (iecc)
-            for (size_t i = 0; i < g.chips; ++i)
-                state.checks[r][i] = iecc->encode(word[i]);
-    }
-    return state;
-}
-
-/**
- * One scrub pass over every row: IECC pre-pass (in-chip corrections +
- * chip-erasure flags), then the rank-level SSC-DSD decode (erasure
- * mode when exactly one chip is flagged dead or erased), write-back of
- * corrected words, and verification of the *delivered* word against
- * golden. @p dead_chips adds known-dead chips to each row's erasures;
- * @p chip_hits (when non-null) accumulates, per chip, the number of
- * rows whose rank-level correction touched it — the observable the
- * session's dead-chip detector integrates.
- */
-void
-scrubRank(DramArray &dram, const SymbolRsCode &rs, const ChipSecded *iecc,
-          const RankState &state, const std::set<size_t> &dead_chips,
-          std::vector<size_t> *chip_hits, bool &due, bool &silent)
-{
-    const DramGeometry &g = dram.geometry();
-    std::vector<uint32_t> word;
-    for (size_t r = 0; r < g.rows(); ++r) {
-        word = dram.readCodeword(r);
-        std::vector<size_t> erasures;
-        bool changed = false;
-        if (iecc) {
-            for (size_t i = 0; i < g.chips; ++i) {
-                const uint32_t before = word[i];
-                const DecodeStatus st =
-                    iecc->decode(word[i], state.checks[r][i]);
-                changed |= word[i] != before;
-                if (st == DecodeStatus::kDetectedUncorrectable)
-                    erasures.push_back(i);
-            }
-        }
-        for (size_t chip : dead_chips)
-            if (std::find(erasures.begin(), erasures.end(), chip) ==
-                erasures.end())
-                erasures.push_back(chip);
-
-        SymbolDecodeResult res;
-        if (erasures.empty())
-            res = rs.decode(word);
-        else if (erasures.size() == 1)
-            res = rs.decodeErasure(word, erasures.front());
-        else
-            res.status = DecodeStatus::kDetectedUncorrectable;
-
-        if (res.uncorrectable()) {
-            due = true;
-            continue;
-        }
-        if (res.corrected()) {
-            changed = true;
-            if (chip_hits)
-                for (const auto &[pos, value] : res.corrections) {
-                    (void)value;
-                    ++(*chip_hits)[pos];
-                }
-        }
-        if (changed)
-            dram.writeCodeword(r, word);
-        if (word != state.golden[r])
-            silent = true;
-    }
-}
-
-/** Shard @p trials over the pool (the scheme.cc runTrials pattern). */
-template <typename Trial>
-InjectionOutcome
-runDramTrials(int trials, uint64_t seed, Trial &&trial)
-{
-    const size_t n = trials < 0 ? 0 : size_t(trials);
-    std::vector<char> corrected(n, 0), silent(n, 0);
-    parallelFor(n, [&](size_t t) {
-        bool c = false, s = false;
-        trial(shardSeed(seed, t), c, s);
-        corrected[t] = c ? 1 : 0;
-        silent[t] = s ? 1 : 0;
-    });
-    InjectionOutcome out;
-    for (size_t t = 0; t < n; ++t) {
-        ++out.trials;
-        out.corrected += corrected[t];
-        out.detectedOnly += !corrected[t] && !silent[t];
-        out.silent += silent[t];
-    }
-    return out;
-}
-
-/**
- * Lifetime session over one rank. Repair units are chips (default) or
- * columns ("/cols"); a chip whose rank-level corrections dominated two
- * consecutive scrub passes is declared dead and becomes a standing
+ * Session over one rank: golden RS codewords (plus per-chip IECC check
+ * words, side-stored) and a scrub pass that runs the IECC pre-pass
+ * (in-chip corrections + chip-erasure flags), the rank-level SSC-DSD
+ * decode (erasure mode when exactly one chip is flagged dead or
+ * erased), write-back of corrected words, and verification of the
+ * *delivered* word against golden. Repair units are chips (default)
+ * or columns ("/cols"); a chip whose rank-level corrections dominated
+ * two consecutive scrub passes is declared dead and becomes a standing
  * erasure, so a later fault on a second chip still decodes (the
  * chipkill ride-through). Repairing a chip clears its dead mark.
  */
 class DramSession final : public DeviceSession
 {
   public:
-    DramSession(const DramSchemeConfig &config, uint64_t seed)
+    DramSession(const DramSchemeConfig &config, Rng &fill)
         : cfg(config), dram(config.geometry),
           rs(config.geometry.symbolBits,
              config.geometry.chips - SymbolRsCode::kCheckSymbols),
@@ -189,8 +48,21 @@ class DramSession final : public DeviceSession
                    : nullptr),
           streak(config.geometry.chips, 0)
     {
-        Rng rng(seed);
-        state = fillRank(dram, rs, iecc.get(), rng);
+        const DramGeometry &g = cfg.geometry;
+        golden.assign(g.rows(), std::vector<uint32_t>(g.chips, 0));
+        if (iecc)
+            checks.assign(g.rows(), std::vector<uint32_t>(g.chips, 0));
+        const uint64_t symbols = uint64_t(1) << g.symbolBits;
+        for (size_t r = 0; r < g.rows(); ++r) {
+            std::vector<uint32_t> &word = golden[r];
+            for (size_t i = SymbolRsCode::kCheckSymbols; i < g.chips; ++i)
+                word[i] = uint32_t(fill.nextBelow(symbols));
+            rs.encode(word);
+            dram.writeCodeword(r, word);
+            if (iecc)
+                for (size_t i = 0; i < g.chips; ++i)
+                    checks[r][i] = iecc->encode(word[i]);
+        }
     }
 
     void inject(const FaultModel &fault, Rng &rng) override
@@ -201,14 +73,59 @@ class DramSession final : public DeviceSession
 
     Verdict scrubAndVerify() override
     {
+        const DramGeometry &g = cfg.geometry;
         bool due = false, silent = false;
-        std::vector<size_t> hits(cfg.geometry.chips, 0);
-        scrubRank(dram, rs, iecc.get(), state, dead, &hits, due, silent);
+        // hits[chip] = rows whose rank-level correction touched it.
+        std::vector<size_t> hits(g.chips, 0);
+        std::vector<uint32_t> word;
+        for (size_t r = 0; r < g.rows(); ++r) {
+            word = dram.readCodeword(r);
+            std::vector<size_t> erasures;
+            bool changed = false;
+            if (iecc) {
+                for (size_t i = 0; i < g.chips; ++i) {
+                    const uint32_t before = word[i];
+                    const DecodeStatus st =
+                        iecc->decode(word[i], checks[r][i]);
+                    changed |= word[i] != before;
+                    if (st == DecodeStatus::kDetectedUncorrectable)
+                        erasures.push_back(i);
+                }
+            }
+            for (size_t chip : dead)
+                if (std::find(erasures.begin(), erasures.end(), chip) ==
+                    erasures.end())
+                    erasures.push_back(chip);
+
+            SymbolDecodeResult res;
+            if (erasures.empty())
+                res = rs.decode(word);
+            else if (erasures.size() == 1)
+                res = rs.decodeErasure(word, erasures.front());
+            else
+                res.status = DecodeStatus::kDetectedUncorrectable;
+
+            if (res.uncorrectable()) {
+                due = true;
+                continue;
+            }
+            if (res.corrected()) {
+                changed = true;
+                for (const auto &[pos, value] : res.corrections) {
+                    (void)value;
+                    ++hits[pos];
+                }
+            }
+            if (changed)
+                dram.writeCodeword(r, word);
+            if (word != golden[r])
+                silent = true;
+        }
         // Dead-chip detector: a chip corrected in at least half the
         // rows "dominated" the pass; two consecutive dominated passes
         // (a transient kill heals after one) declare it dead.
         for (size_t i = 0; i < hits.size(); ++i) {
-            if (2 * hits[i] >= cfg.geometry.rows()) {
+            if (2 * hits[i] >= g.rows()) {
                 if (++streak[i] >= 2)
                     dead.insert(i);
             } else {
@@ -232,12 +149,12 @@ class DramSession final : public DeviceSession
             const size_t chip = dram.chipOfCol(unit);
             const size_t bit = unit % cfg.geometry.symbolBits;
             for (size_t r = 0; r < cfg.geometry.rows(); ++r)
-                dram.cells().writeBit(
-                    r, unit, (state.golden[r][chip] >> bit) & 1u);
+                dram.cells().writeBit(r, unit,
+                                      (golden[r][chip] >> bit) & 1u);
         } else {
             dram.repairChip(unit);
             for (size_t r = 0; r < cfg.geometry.rows(); ++r)
-                dram.writeSymbol(r, unit, state.golden[r][unit]);
+                dram.writeSymbol(r, unit, golden[r][unit]);
             dead.erase(unit);
             streak[unit] = 0;
         }
@@ -248,7 +165,10 @@ class DramSession final : public DeviceSession
     DramArray dram;
     SymbolRsCode rs;
     std::unique_ptr<ChipSecded> iecc;
-    RankState state;
+    /** golden[row] = the encoded codeword the rank was filled with. */
+    std::vector<std::vector<uint32_t>> golden;
+    /** checks[row][chip] = IECC check word (IECC variant only). */
+    std::vector<std::vector<uint32_t>> checks;
     std::set<size_t> dead;
     std::vector<size_t> streak;
 };
@@ -256,12 +176,7 @@ class DramSession final : public DeviceSession
 class DramScheme final : public ProtectionScheme
 {
   public:
-    explicit DramScheme(const DramSchemeConfig &config)
-        : cfg(config),
-          rs(config.geometry.symbolBits,
-             config.geometry.chips - SymbolRsCode::kCheckSymbols)
-    {
-    }
+    explicit DramScheme(const DramSchemeConfig &config) : cfg(config) {}
 
     std::string name() const override
     {
@@ -289,7 +204,8 @@ class DramScheme final : public ProtectionScheme
     double storageOverhead() const override
     {
         const size_t b = cfg.geometry.symbolBits;
-        const size_t data = rs.dataSymbols() * b;
+        const size_t data =
+            (cfg.geometry.chips - SymbolRsCode::kCheckSymbols) * b;
         double check = double(SymbolRsCode::kCheckSymbols * b);
         if (cfg.iecc)
             check += double(cfg.geometry.chips *
@@ -297,38 +213,13 @@ class DramScheme final : public ProtectionScheme
         return check / double(data);
     }
 
-    InjectionOutcome injectAndRecover(const FaultModel &fault, int trials,
-                                      uint64_t seed) const override
+    std::unique_ptr<DeviceSession> openSession(Rng &fill) const override
     {
-        return runDramTrials(trials, seed, [&](uint64_t trial_seed,
-                                               bool &c, bool &s) {
-            Rng rng(trial_seed);
-            DramArray dram(cfg.geometry);
-            const std::unique_ptr<ChipSecded> chip_code =
-                cfg.iecc ? std::make_unique<ChipSecded>(
-                               unsigned(cfg.geometry.symbolBits))
-                         : nullptr;
-            const RankState state =
-                fillRank(dram, rs, chip_code.get(), rng);
-            FaultInjector injector(rng);
-            injector.inject(dram.cells(), fault);
-            bool due = false, silent = false;
-            scrubRank(dram, rs, chip_code.get(), state, {}, nullptr, due,
-                      silent);
-            c = !due && !silent;
-            s = silent;
-        });
-    }
-
-    std::unique_ptr<DeviceSession>
-    openLifetimeSession(uint64_t seed) const override
-    {
-        return std::make_unique<DramSession>(cfg, seed);
+        return std::make_unique<DramSession>(cfg, fill);
     }
 
   private:
     DramSchemeConfig cfg;
-    SymbolRsCode rs;
 };
 
 } // namespace

@@ -4,14 +4,15 @@
 #include <cctype>
 #include <cstdlib>
 #include <stdexcept>
+#include <utility>
 
 #include "array/product_code_array.hh"
 #include "array/protected_array.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "core/twod_array.hh"
-#include "reliability/recovery_sweep.hh"
 #include "scheme/dram_scheme.hh"
+#include "scheme/spec_parse.hh"
 
 namespace tdc
 {
@@ -55,16 +56,31 @@ LifetimeResult
 cachedSchemeLifetime(const ProtectionScheme &scheme, LifetimeParams params)
 {
     params.schemeSpec = scheme.spec();
-    return cachedLifetime(params, [&scheme](uint64_t seed) {
-        return scheme.openLifetimeSession(seed);
-    });
+    return cachedLifetime(
+        params, [&scheme](Rng &fill) { return scheme.openSession(fill); });
 }
 
-std::unique_ptr<DeviceSession>
-ProtectionScheme::openLifetimeSession(uint64_t) const
+InjectionOutcome
+ProtectionScheme::injectAndRecover(const FaultModel &fault, int trials,
+                                   uint64_t seed) const
 {
-    throw std::logic_error("scheme \"" + spec() +
-                           "\" has no lifetime device model");
+    using Verdict = DeviceSession::Verdict;
+    const size_t n = trials < 0 ? 0 : size_t(trials);
+    std::vector<Verdict> verdicts(n);
+    parallelFor(n, [&](size_t t) {
+        Rng rng(shardSeed(seed, t));
+        const std::unique_ptr<DeviceSession> session = openSession(rng);
+        session->inject(fault, rng);
+        verdicts[t] = session->scrubAndVerify();
+    });
+    InjectionOutcome out;
+    out.trials = int(n);
+    for (const Verdict v : verdicts) {
+        out.corrected += v == Verdict::kCorrected;
+        out.detectedOnly += v == Verdict::kDue;
+        out.silent += v == Verdict::kSdc;
+    }
+    return out;
 }
 
 SchemeSpec
@@ -81,6 +97,26 @@ ProtectionScheme::cost(const CacheGeometry &geom,
     return evaluateScheme(costSpec(), geom, objective);
 }
 
+void
+specError(const std::string &spec, const std::string &what)
+{
+    throw std::invalid_argument("scheme spec \"" + spec + "\": " + what);
+}
+
+size_t
+parseNumber(const std::string &spec, const std::string &token,
+            const std::string &digits, size_t lo, size_t hi)
+{
+    if (digits.empty() ||
+        digits.find_first_not_of("0123456789") != std::string::npos)
+        specError(spec, "malformed number in \"" + token + "\"");
+    const unsigned long long v = std::strtoull(digits.c_str(), nullptr, 10);
+    if (v < lo || v > hi)
+        specError(spec, "value out of range [" + std::to_string(lo) + ".." +
+                            std::to_string(hi) + "] in \"" + token + "\"");
+    return size_t(v);
+}
+
 namespace
 {
 
@@ -94,27 +130,6 @@ codeToken(CodeKind kind)
     std::transform(label.begin(), label.end(), label.begin(),
                    [](unsigned char c) { return std::tolower(c); });
     return label;
-}
-
-[[noreturn]] void
-specError(const std::string &spec, const std::string &what)
-{
-    throw std::invalid_argument("scheme spec \"" + spec + "\": " + what);
-}
-
-/** Parse the decimal digits of @p digits (from @p token) in range. */
-size_t
-parseNumber(const std::string &spec, const std::string &token,
-            const std::string &digits, size_t lo, size_t hi)
-{
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos)
-        specError(spec, "malformed number in \"" + token + "\"");
-    const unsigned long long v = std::strtoull(digits.c_str(), nullptr, 10);
-    if (v < lo || v > hi)
-        specError(spec, "value out of range [" + std::to_string(lo) + ".." +
-                            std::to_string(hi) + "] in \"" + token + "\"");
-    return size_t(v);
 }
 
 /** Interleaved-parity class width of EDC kinds (0 = not an EDC code). */
@@ -207,9 +222,9 @@ geometrySuffix(size_t word_bits, size_t rows)
     return out;
 }
 
-// --- Monte-Carlo trial bodies ---------------------------------------
+// --- Device sessions ------------------------------------------------
 
-/** Fill @p bits with rng words (matches the recovery-sweep fill). */
+/** Fill @p bits with rng words, 64 bits per draw. */
 BitVector
 randomWord(size_t bits, Rng &rng)
 {
@@ -221,52 +236,40 @@ randomWord(size_t bits, Rng &rng)
     return d;
 }
 
-/** Shard @p trials over the pool; each trial reports (corrected,
- *  silent) and the outcome is reduced in trial order. */
-template <typename Trial>
-InjectionOutcome
-runTrials(int trials, uint64_t seed, Trial &&trial)
+/** The scheme's scrub pass ahead of verification; false = the pass
+ *  itself reported a detected-uncorrectable state. Conventional
+ *  arrays correct in-line on every read, so they have none. */
+bool
+scrubPass(ProtectedArray &)
 {
-    const size_t n = trials < 0 ? 0 : size_t(trials);
-    std::vector<char> corrected(n, 0), silent(n, 0);
-    parallelFor(n, [&](size_t t) {
-        bool c = false, s = false;
-        trial(shardSeed(seed, t), c, s);
-        corrected[t] = c ? 1 : 0;
-        silent[t] = s ? 1 : 0;
-    });
-    InjectionOutcome out;
-    for (size_t t = 0; t < n; ++t) {
-        ++out.trials;
-        out.corrected += corrected[t];
-        out.detectedOnly += !corrected[t] && !silent[t];
-        out.silent += silent[t];
-    }
-    return out;
+    return true;
 }
 
-// --- Lifetime device sessions ---------------------------------------
-//
-// One DeviceSession per family, mirroring that family's
-// injectAndRecover trial body exactly: same golden fill, same
-// scrub/verify classification. The lifetime engine drives these over
-// mission time instead of one event per fresh array.
+/** The 2D bank runs the Figure 4(b) recovery process. */
+bool
+scrubPass(TwoDimArray &arr)
+{
+    return arr.scrub();
+}
 
-/** conv/wt session: a ProtectedArray, scrubbed by per-word readback
- *  (in-line correction is the conventional scrub). */
-class ConvSession final : public DeviceSession
+/**
+ * Session over a word-organized array (conv/wt: ProtectedArray, 2d:
+ * TwoDimArray): every (row, slot) holds a golden word, scrub is the
+ * array's scrubPass followed by a readback of every word.
+ */
+template <typename Array>
+class WordArraySession final : public DeviceSession
 {
   public:
-    ConvSession(CodeKind code, size_t degree, size_t word_bits,
-                size_t rows, uint64_t seed)
-        : arr(rows, makeCode(code, word_bits), degree)
+    template <typename... Args>
+    explicit WordArraySession(Rng &fill, Args &&...args)
+        : arr(std::forward<Args>(args)...)
     {
-        Rng rng(seed);
         golden.assign(arr.rows(),
                       std::vector<BitVector>(arr.wordsPerRow()));
         for (size_t r = 0; r < arr.rows(); ++r) {
             for (size_t slot = 0; slot < arr.wordsPerRow(); ++slot) {
-                golden[r][slot] = randomWord(word_bits, rng);
+                golden[r][slot] = randomWord(arr.dataBits(), fill);
                 arr.writeWord(r, slot, golden[r][slot]);
             }
         }
@@ -280,7 +283,7 @@ class ConvSession final : public DeviceSession
 
     Verdict scrubAndVerify() override
     {
-        bool due = false, silent = false;
+        bool due = !scrubPass(arr), silent = false;
         for (size_t r = 0; r < arr.rows(); ++r) {
             for (size_t slot = 0; slot < arr.wordsPerRow(); ++slot) {
                 const AccessResult res = arr.readWord(r, slot);
@@ -304,89 +307,29 @@ class ConvSession final : public DeviceSession
 
     void repairRow(size_t row) override
     {
+        // clearRowFaults preserves visible values, so a 2D bank's
+        // vertical parity stays consistent; rewriting the golden words
+        // through writeWord then maintains it incrementally as usual.
         arr.cells().clearRowFaults(row);
         for (size_t slot = 0; slot < arr.wordsPerRow(); ++slot)
             arr.writeWord(row, slot, golden[row][slot]);
     }
 
   private:
-    ProtectedArray arr;
-    std::vector<std::vector<BitVector>> golden;
-};
-
-/** 2d session: a TwoDimArray bank; scrub runs the Figure 4(b)
- *  recovery process, then the recovery-sweep verification pass. */
-class TwoDimSession final : public DeviceSession
-{
-  public:
-    TwoDimSession(const TwoDimConfig &config, uint64_t seed) : arr(config)
-    {
-        Rng rng(seed);
-        golden.assign(arr.rows(),
-                      std::vector<BitVector>(arr.wordsPerRow()));
-        for (size_t r = 0; r < arr.rows(); ++r) {
-            for (size_t slot = 0; slot < arr.wordsPerRow(); ++slot) {
-                golden[r][slot] = randomWord(arr.dataBits(), rng);
-                arr.writeWord(r, slot, golden[r][slot]);
-            }
-        }
-    }
-
-    void inject(const FaultModel &fault, Rng &rng) override
-    {
-        FaultInjector inj(rng);
-        inj.inject(arr.cells(), fault);
-    }
-
-    Verdict scrubAndVerify() override
-    {
-        const bool scrubbed = arr.scrub();
-        bool due = !scrubbed, silent = false;
-        for (size_t r = 0; r < arr.rows(); ++r) {
-            for (size_t slot = 0; slot < arr.wordsPerRow(); ++slot) {
-                const AccessResult res = arr.readWord(r, slot);
-                if (!res.ok())
-                    due = true;
-                else if (res.data != golden[r][slot])
-                    silent = true;
-            }
-        }
-        return silent ? Verdict::kSdc
-               : due  ? Verdict::kDue
-                      : Verdict::kCorrected;
-    }
-
-    std::vector<std::pair<size_t, size_t>> stuckRows() override
-    {
-        return arr.cells().stuckRows();
-    }
-
-    void repairRow(size_t row) override
-    {
-        // clearRowFaults preserves visible values, so the vertical
-        // parity stays consistent; rewriting the golden words through
-        // writeWord then maintains it incrementally as usual.
-        arr.cells().clearRowFaults(row);
-        for (size_t slot = 0; slot < arr.wordsPerRow(); ++slot)
-            arr.writeWord(row, slot, golden[row][slot]);
-    }
-
-  private:
-    TwoDimArray arr;
+    Array arr;
     std::vector<std::vector<BitVector>> golden;
 };
 
 /** prod session: an HV product-code array; scrub is checkAndCorrect
- *  plus the row-readback comparison of the injection trials. */
+ *  plus a readback of every row. */
 class ProdSession final : public DeviceSession
 {
   public:
-    ProdSession(size_t rows, size_t cols, uint64_t seed) : arr(rows, cols)
+    ProdSession(size_t rows, size_t cols, Rng &fill) : arr(rows, cols)
     {
-        Rng rng(seed);
         golden.reserve(rows);
         for (size_t r = 0; r < rows; ++r) {
-            golden.push_back(randomWord(cols, rng));
+            golden.push_back(randomWord(cols, fill));
             arr.writeRow(r, golden.back());
         }
     }
@@ -469,44 +412,10 @@ class ConventionalScheme : public ProtectionScheme
                              : SchemeSpec::conventional(code_, degree_);
     }
 
-    InjectionOutcome injectAndRecover(const FaultModel &fault, int trials,
-                                      uint64_t seed) const override
+    std::unique_ptr<DeviceSession> openSession(Rng &fill) const override
     {
-        return runTrials(trials, seed, [&](uint64_t trial_seed, bool &c,
-                                           bool &s) {
-            Rng rng(trial_seed);
-            ProtectedArray arr(rows_, makeCode(code_, wordBits_), degree_);
-            std::vector<std::vector<BitVector>> golden(
-                arr.rows(), std::vector<BitVector>(arr.wordsPerRow()));
-            for (size_t r = 0; r < arr.rows(); ++r) {
-                for (size_t slot = 0; slot < arr.wordsPerRow(); ++slot) {
-                    golden[r][slot] = randomWord(wordBits_, rng);
-                    arr.writeWord(r, slot, golden[r][slot]);
-                }
-            }
-            FaultInjector inj(rng);
-            inj.inject(arr.cells(), fault);
-
-            bool all_ok = true, any_silent = false;
-            for (size_t r = 0; r < arr.rows(); ++r) {
-                for (size_t slot = 0; slot < arr.wordsPerRow(); ++slot) {
-                    const AccessResult res = arr.readWord(r, slot);
-                    if (!res.ok())
-                        all_ok = false;
-                    else if (res.data != golden[r][slot])
-                        all_ok = false, any_silent = true;
-                }
-            }
-            c = all_ok;
-            s = any_silent;
-        });
-    }
-
-    std::unique_ptr<DeviceSession>
-    openLifetimeSession(uint64_t seed) const override
-    {
-        return std::make_unique<ConvSession>(code_, degree_, wordBits_,
-                                             rows_, seed);
+        return std::make_unique<WordArraySession<ProtectedArray>>(
+            fill, rows_, makeCode(code_, wordBits_), degree_);
     }
 
   private:
@@ -519,7 +428,7 @@ class ConventionalScheme : public ProtectionScheme
 
 // --- 2d -------------------------------------------------------------
 
-/** The paper's 2D coding bank; injection runs the recovery sweep. */
+/** The paper's 2D coding bank (horizontal code + vertical parity). */
 class TwoDimScheme : public ProtectionScheme
 {
   public:
@@ -554,30 +463,11 @@ class TwoDimScheme : public ProtectionScheme
                                   config_.verticalParityRows);
     }
 
-    InjectionOutcome injectAndRecover(const FaultModel &fault, int trials,
-                                      uint64_t seed) const override
+    std::unique_ptr<DeviceSession> openSession(Rng &fill) const override
     {
-        RecoverySweepParams params;
-        params.config = config_;
-        params.fault = fault;
-        params.trials = trials;
-        params.seed = seed;
-        const RecoverySweepResult res = runRecoverySweep(params);
-        InjectionOutcome out;
-        out.trials = res.trials;
-        out.corrected = res.recovered;
-        out.detectedOnly = res.detectedOnly;
-        out.silent = res.silent;
-        return out;
+        return std::make_unique<WordArraySession<TwoDimArray>>(fill,
+                                                               config_);
     }
-
-    std::unique_ptr<DeviceSession>
-    openLifetimeSession(uint64_t seed) const override
-    {
-        return std::make_unique<TwoDimSession>(config_, seed);
-    }
-
-    const TwoDimConfig &config() const { return config_; }
 
   private:
     TwoDimConfig config_;
@@ -610,35 +500,9 @@ class ProductCodeScheme : public ProtectionScheme
         return double(rows_ + cols_) / double(rows_ * cols_);
     }
 
-    InjectionOutcome injectAndRecover(const FaultModel &fault, int trials,
-                                      uint64_t seed) const override
+    std::unique_ptr<DeviceSession> openSession(Rng &fill) const override
     {
-        return runTrials(trials, seed, [&](uint64_t trial_seed, bool &c,
-                                           bool &s) {
-            Rng rng(trial_seed);
-            ProductCodeArray arr(rows_, cols_);
-            std::vector<BitVector> golden;
-            golden.reserve(rows_);
-            for (size_t r = 0; r < rows_; ++r) {
-                golden.push_back(randomWord(cols_, rng));
-                arr.writeRow(r, golden.back());
-            }
-            FaultInjector inj(rng);
-            inj.inject(arr.cells(), fault);
-
-            const ProductCodeReport rep = arr.checkAndCorrect();
-            bool matches = true;
-            for (size_t r = 0; r < rows_ && matches; ++r)
-                matches = arr.readRow(r) == golden[r];
-            c = rep.clean && matches;
-            s = rep.clean && !matches;
-        });
-    }
-
-    std::unique_ptr<DeviceSession>
-    openLifetimeSession(uint64_t seed) const override
-    {
-        return std::make_unique<ProdSession>(rows_, cols_, seed);
+        return std::make_unique<ProdSession>(rows_, cols_, fill);
     }
 
   private:

@@ -23,6 +23,10 @@
  * offending token. Campaign grids, the tdc_run driver, and tests all
  * name schemes exclusively through this grammar, so a new scenario is
  * data, not C++.
+ *
+ * A family defines its device once, as the DeviceSession openSession
+ * returns; the one-event injection cells (injectAndRecover) and the
+ * lifetime engine (cachedSchemeLifetime) both run on that session.
  */
 
 #ifndef TDC_SCHEME_SCHEME_HH
@@ -45,9 +49,10 @@ namespace tdc
 
 /**
  * One pluggable protection scheme: a name, a round-trippable spec
- * string, static cost figures, and a Monte-Carlo inject+recover cell
- * executor. Concrete families (conv/2d/wt/prod) live behind the
- * registry; campaign code holds only SchemePtr handles.
+ * string, static cost figures, and a device model (openSession) that
+ * both the one-event injection cells and the lifetime engine run on.
+ * Concrete families (conv/2d/wt/prod/dram) live behind the registry;
+ * campaign code holds only SchemePtr handles.
  */
 class ProtectionScheme
 {
@@ -65,28 +70,25 @@ class ProtectionScheme
     virtual double storageOverhead() const = 0;
 
     /**
-     * Run @p trials of (fill a fresh array with random data, inject
-     * one @p fault event, repair through the scheme's machinery,
-     * verify against the golden data). Trial i draws all randomness
-     * from shardSeed(seed, i) and trials shard over the worker pool,
-     * so the outcome is a pure function of the arguments —
-     * bit-identical at any TDC_THREADS setting.
+     * Run @p trials one-event experiments on fresh devices. Trial t
+     * seeds Rng rng(shardSeed(seed, t)), opens openSession(rng) (the
+     * golden fill), injects @p fault drawing from the same rng, and
+     * classifies scrubAndVerify(): kCorrected counts as corrected,
+     * kDue as detectedOnly, kSdc as silent. Trials shard over the
+     * worker pool and reduce in trial order, so the outcome is a pure
+     * function of the arguments — bit-identical at any TDC_THREADS.
      */
-    virtual InjectionOutcome injectAndRecover(const FaultModel &fault,
-                                              int trials,
-                                              uint64_t seed) const = 0;
+    InjectionOutcome injectAndRecover(const FaultModel &fault, int trials,
+                                      uint64_t seed) const;
 
     /**
-     * Open one lifetime-engine device session (reliability/lifetime.hh):
-     * a fresh array filled with golden data derived from @p seed,
-     * driven by runLifetime through inject / scrubAndVerify /
-     * repairRow with exactly the machinery this scheme's
-     * injectAndRecover trials use. The built-in families all implement
-     * it; the default throws std::logic_error for registered families
-     * without a device model.
+     * Open one device session (reliability/lifetime.hh): a fresh
+     * array of this scheme filled with golden data drawn from
+     * @p fill, driven through inject / scrubAndVerify / repairRow.
+     * The only per-family device hook: injectAndRecover and the
+     * lifetime engine both run on it.
      */
-    virtual std::unique_ptr<DeviceSession>
-    openLifetimeSession(uint64_t seed) const;
+    virtual std::unique_ptr<DeviceSession> openSession(Rng &fill) const = 0;
 
     /** True when the scheme has a VLSI cost model (costSpec() works). */
     virtual bool hasCostModel() const { return false; }
@@ -124,7 +126,7 @@ InjectionOutcome cachedInjectAndRecover(const ProtectionScheme &scheme,
 /**
  * runLifetime over @p scheme through the campaign result cache:
  * params.schemeSpec is overwritten with scheme.spec() (the canonical
- * key axis) and the session factory is scheme.openLifetimeSession, so
+ * key axis) and the session factory is scheme.openSession, so
  * the cell is a pure function of (scheme, mix, mission, scrub, spares,
  * trials, seed) and memoizes exactly like injection cells. Every
  * lifetime figure/custom grid evaluates through this entry point.

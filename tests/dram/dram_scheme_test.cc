@@ -134,8 +134,8 @@ TEST(DramScheme, SessionSurvivesChipKillThenSecondFault)
     // still within d=4 reach. The ride-through that motivates the
     // dead-chip detector.
     const SchemePtr s = parseScheme("dram:chipkill/x4");
-    const std::unique_ptr<DeviceSession> session =
-        s->openLifetimeSession(2024);
+    Rng fill(2024);
+    const std::unique_ptr<DeviceSession> session = s->openSession(fill);
     Rng rng(555);
 
     FaultModel kill = FaultModel::chipKill(2);
@@ -158,8 +158,8 @@ TEST(DramScheme, TransientChipKillHealsInsteadOfGoingDead)
     // the dead-chip streak detector must NOT retire the chip, so a
     // later kill of a DIFFERENT chip is still plain SSC.
     const SchemePtr s = parseScheme("dram:chipkill/x4");
-    const std::unique_ptr<DeviceSession> session =
-        s->openLifetimeSession(77);
+    Rng fill(77);
+    const std::unique_ptr<DeviceSession> session = s->openSession(fill);
     Rng rng(1);
 
     session->inject(FaultModel::chipKill(0), rng);
@@ -179,8 +179,9 @@ TEST(DramScheme, SpareUnitsFollowTheRepairGranularity)
     kill.persistence = FaultPersistence::kStuckAt;
 
     // Chip granularity: one repair unit for the whole chip.
+    Rng chip_fill(3);
     const std::unique_ptr<DeviceSession> chips =
-        parseScheme("dram:chipkill/x4")->openLifetimeSession(3);
+        parseScheme("dram:chipkill/x4")->openSession(chip_fill);
     chips->inject(kill, rng);
     chips->scrubAndVerify();
     ASSERT_EQ(chips->stuckRows().size(), 1u);
@@ -190,8 +191,9 @@ TEST(DramScheme, SpareUnitsFollowTheRepairGranularity)
     EXPECT_EQ(chips->scrubAndVerify(), DeviceSession::Verdict::kCorrected);
 
     // Column granularity: the same kill needs symbolBits spare columns.
+    Rng col_fill(3);
     const std::unique_ptr<DeviceSession> cols =
-        parseScheme("dram:chipkill/x4/cols")->openLifetimeSession(3);
+        parseScheme("dram:chipkill/x4/cols")->openSession(col_fill);
     cols->inject(kill, rng);
     cols->scrubAndVerify();
     ASSERT_EQ(cols->stuckRows().size(), 4u); // cols 4..7

@@ -44,8 +44,8 @@ runDram(const std::string &spec, const LifetimeParams &base)
     const SchemePtr scheme = parseScheme(spec);
     LifetimeParams p = base;
     p.schemeSpec = scheme->spec();
-    return runLifetime(p, [&](uint64_t seed) {
-        return scheme->openLifetimeSession(seed);
+    return runLifetime(p, [&](Rng &fill) {
+        return scheme->openSession(fill);
     });
 }
 

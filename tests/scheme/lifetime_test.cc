@@ -57,8 +57,8 @@ runScheme(const std::string &spec, const LifetimeParams &base)
     const SchemePtr scheme = parseScheme(spec);
     LifetimeParams p = base;
     p.schemeSpec = scheme->spec();
-    return runLifetime(p, [&](uint64_t seed) {
-        return scheme->openLifetimeSession(seed);
+    return runLifetime(p, [&](Rng &fill) {
+        return scheme->openSession(fill);
     });
 }
 
@@ -177,9 +177,8 @@ TEST(LifetimeEngine, MatchesASerialOracle)
         double observed = p.missionHours;
         bool due = false, sdc = false;
         if (!timeline.empty()) {
-            std::unique_ptr<DeviceSession> dev =
-                scheme->openLifetimeSession(
-                    shardSeed(trial_seed, kSeedDomainLifetime, 1));
+            Rng fill(shardSeed(trial_seed, kSeedDomainLifetime, 1));
+            std::unique_ptr<DeviceSession> dev = scheme->openSession(fill);
             int spares = p.spareRows;
             size_t i = 0;
             while (i < timeline.size()) {
@@ -245,8 +244,8 @@ TEST(LifetimeEngine, MatchesASerialOracle)
     ThreadGuard guard;
     setParallelThreads(4);
     const LifetimeResult engine =
-        runLifetime(p, [&](uint64_t seed) {
-            return scheme->openLifetimeSession(seed);
+        runLifetime(p, [&](Rng &fill) {
+            return scheme->openSession(fill);
         });
     EXPECT_EQ(engine, oracle);
 }
@@ -315,8 +314,8 @@ TEST(LifetimeEngine, CachedEqualsDirect)
     LifetimeParams p = baseParams(168.0, 0);
     p.trials = 12;
     p.schemeSpec = scheme->spec();
-    const LifetimeResult direct = runLifetime(p, [&](uint64_t seed) {
-        return scheme->openLifetimeSession(seed);
+    const LifetimeResult direct = runLifetime(p, [&](Rng &fill) {
+        return scheme->openSession(fill);
     });
 
     const LifetimeResult cold = cachedSchemeLifetime(*scheme, p);

@@ -219,8 +219,7 @@ TEST(SchemeInjection, IdenticalAtEveryThreadCount)
 {
     ThreadGuard guard;
     const FaultModel fault = FaultModel::cluster(8, 8);
-    for (const char *spec :
-         {"conv:secded/i4/r64", "2d:edc8/i4+vp32", "prod:64x64"}) {
+    for (const std::string &spec : exampleSchemeSpecs()) {
         const SchemePtr scheme = parseScheme(spec);
         setParallelThreads(1);
         const InjectionOutcome serial =
@@ -264,8 +263,18 @@ TEST(SchemeInjection, VerdictsMatchCoverageGuarantees)
         parseScheme("prod:64x64")->injectAndRecover(block, 6, 2).corrected,
         0);
 
+    // A 16x16 cluster is inside the 2D bank's guaranteed 32x32
+    // coverage: every trial is corrected.
+    const InjectionOutcome inside =
+        parseScheme("2d:edc8/i4+vp32")
+            ->injectAndRecover(FaultModel::cluster(16, 16), 12, 2026);
+    EXPECT_EQ(inside.corrected, 12);
+
     // Beyond-coverage clusters on the 2D bank are detected, not
-    // silent (the EDC8 horizontal always sees odd per-word flips).
+    // silent: a solid 33x64 cluster breaks both guarantees (33 > 32
+    // columns; every vertical group holds two full-width faulty rows
+    // whose parity contributions cancel), but the EDC8 horizontal
+    // still sees an odd bit count in every faulty word.
     const InjectionOutcome wide =
         parseScheme("2d:edc8/i4+vp32")
             ->injectAndRecover(FaultModel::cluster(33, 64), 4, 3);
