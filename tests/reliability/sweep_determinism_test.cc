@@ -3,8 +3,8 @@
  * Determinism contract of the threaded soft-error and yield sweeps:
  * counter-based RNG streams make every Monte-Carlo result a pure
  * function of its parameters, so running with 1, 2, 4 or 8 workers
- * must reproduce the serial counters bit for bit. (Injection cells
- * are pinned the same way in tests/scheme/scheme_test.cc.)
+ * must reproduce the serial counters bit for bit. (The 2D recovery
+ * sweep is pinned the same way in tests/scheme/sweep_determinism_test.cc.)
  */
 
 #include <gtest/gtest.h>
