@@ -59,6 +59,8 @@ struct CmpSimResult
         return cycles == 0 ? 0.0
                            : 100.0 * double(count) / double(cycles);
     }
+
+    bool operator==(const CmpSimResult &) const = default;
 };
 
 /**

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cpu/cmp_simulator.hh"
 
 namespace tdc
@@ -202,6 +204,101 @@ TEST(CmpSimulator, ScientificWorkloadsSkipL1I)
     const CmpSimResult o = simulate(CmpConfig::fat(), "OLTP",
                                     ProtectionConfig::none());
     EXPECT_LT(r.per100(r.l2ReadsInst), o.per100(o.l2ReadsInst) * 0.3);
+}
+
+/**
+ * Every counter of one 20k-cycle OLTP run per (machine, protection),
+ * recorded before the simulator's inner loop was tightened (inline
+ * RNG draws, ring-buffer port history, due-time skip in the pending
+ * scan). Any kernel change must reproduce them exactly. Window -1
+ * keeps the machine's default steal window.
+ */
+struct PinnedRun
+{
+    const char *machine;
+    const char *protection;
+    int stealWindow;
+    uint64_t counters[12];
+};
+
+const PinnedRun kPinnedRuns[] = {
+    {"fat", "none", -1,
+     {20000, 88101, 27188, 12601, 1225, 0, 151, 1663, 1079, 490, 220, 0}},
+    {"fat", "l1", -1,
+     {20000, 83735, 25905, 11987, 1173, 13160, 144, 1596, 1030, 472, 211, 0}},
+    {"fat", "l1+steal", -1,
+     {20000, 85906, 26573, 12285, 1197, 13482, 150, 1629, 1055, 477, 216, 0}},
+    {"fat", "l1+steal+l2", -1,
+     {20000, 85330, 26397, 12210, 1189, 13399, 146, 1621, 1049, 473, 215, 688}},
+    {"fat", "wt", -1,
+     {20000, 54647, 16869, 7792, 730, 0, 81, 1047, 653, 8078, 138, 8216}},
+    {"lean", "none", -1,
+     {20000, 163738, 50410, 23358, 2322, 0, 251, 3261, 2080, 927, 447, 0}},
+    {"lean", "l1", -1,
+     {20000, 155391, 47847, 22162, 2193, 24355, 235, 3093, 1964, 877, 421, 0}},
+    {"lean", "l1+steal", -1,
+     {20000, 161310, 49692, 23004, 2288, 25292, 247, 3203, 2045, 916, 439, 0}},
+    {"lean", "l1+steal+l2", -1,
+     {20000, 159109, 49026, 22684, 2251, 24935, 246, 3157, 2015, 899, 435, 1334}},
+    {"lean", "wt", -1,
+     {20000, 47945, 14749, 6848, 659, 0, 68, 946, 603, 7112, 140, 7252}},
+    {"fat", "l1+steal", 0,
+     {20000, 83735, 25905, 11987, 1173, 13160, 144, 1596, 1030, 472, 211, 0}},
+    {"fat", "l1+steal", 1,
+     {20000, 85906, 26573, 12285, 1197, 13482, 150, 1629, 1055, 477, 216, 0}},
+    {"fat", "l1+steal", 16,
+     {20000, 88101, 27188, 12601, 1225, 13826, 151, 1663, 1079, 490, 220, 0}},
+};
+
+CmpSimResult
+fromCounters(const uint64_t (&c)[12])
+{
+    CmpSimResult r;
+    r.cycles = c[0];
+    r.instructions = c[1];
+    r.l1ReadsData = c[2];
+    r.l1Writes = c[3];
+    r.l1FillEvict = c[4];
+    r.l1ExtraReads = c[5];
+    r.l1DirtyTransfers = c[6];
+    r.l2ReadsInst = c[7];
+    r.l2ReadsData = c[8];
+    r.l2Writes = c[9];
+    r.l2FillEvict = c[10];
+    r.l2ExtraReads = c[11];
+    return r;
+}
+
+std::string
+describe(const CmpSimResult &r)
+{
+    return std::to_string(r.cycles) + " " + std::to_string(r.instructions) +
+           " " + std::to_string(r.l1ReadsData) + " " +
+           std::to_string(r.l1Writes) + " " + std::to_string(r.l1FillEvict) +
+           " " + std::to_string(r.l1ExtraReads) + " " +
+           std::to_string(r.l1DirtyTransfers) + " " +
+           std::to_string(r.l2ReadsInst) + " " +
+           std::to_string(r.l2ReadsData) + " " + std::to_string(r.l2Writes) +
+           " " + std::to_string(r.l2FillEvict) + " " +
+           std::to_string(r.l2ExtraReads);
+}
+
+TEST(CmpSimulator, CountersPinned)
+{
+    for (const PinnedRun &pin : kPinnedRuns) {
+        CmpConfig m = std::string(pin.machine) == "lean" ? CmpConfig::lean()
+                                                         : CmpConfig::fat();
+        if (pin.stealWindow >= 0)
+            m.stealWindow = unsigned(pin.stealWindow);
+        CmpSimulator sim(m, workloadByName("OLTP"),
+                         ProtectionConfig::parse(pin.protection), 42);
+        const CmpSimResult got = sim.run(20000);
+        const CmpSimResult want = fromCounters(pin.counters);
+        EXPECT_TRUE(got == want)
+            << pin.machine << " " << pin.protection << " window "
+            << pin.stealWindow << ": got {" << describe(got)
+            << "}, want {" << describe(want) << "}";
+    }
 }
 
 } // namespace
