@@ -9,10 +9,12 @@
 
 #include "driver/tdc_run.hh"
 
+#include <span>
+
 #include "array/fault.hh"
 #include "common/rng.hh"
 #include "core/twod_array.hh"
-#include "cpu/cmp_simulator.hh"
+#include "cpu/cmp_batch.hh"
 #include "cpu/ipc_campaign.hh"
 #include "reliability/scrub_model.hh"
 #include "scheme/figure_campaigns.hh"
@@ -111,47 +113,50 @@ figure5(RunContext &ctx)
 constexpr uint64_t kFig6Cycles = 150000;
 constexpr uint64_t kFig6Seed = 42;
 
+/** One fully protected run per standard workload, in workload order. */
+using Fig6Runs = std::span<const CmpSimResult>;
+
 void
-figure6L1Table(RunContext &ctx, const CmpConfig &m, const char *title)
+figure6L1Table(RunContext &ctx, const CmpConfig &m, const char *title,
+               Fig6Runs runs)
 {
     ctx.prosef("--- %s: L1 data cache accesses / 100 cycles (per core)"
                " ---\n\n", title);
     Table t({"Workload", "Read:Data", "Write", "Fill/Evict",
              "Extra read (2D)", "Total", "Extra %"});
-    for (const WorkloadProfile &w : standardWorkloads()) {
-        CmpSimulator sim(m, w, ProtectionConfig::full(true), kFig6Seed);
-        const CmpSimResult r = sim.run(kFig6Cycles);
+    for (size_t i = 0; i < runs.size(); ++i) {
+        const CmpSimResult &r = runs[i];
         const double reads = r.per100(r.l1ReadsData) / m.cores;
         const double writes = r.per100(r.l1Writes) / m.cores;
         const double fills = r.per100(r.l1FillEvict) / m.cores;
         const double extra = r.per100(r.l1ExtraReads) / m.cores;
         const double total = reads + writes + fills + extra;
-        t.addRow({w.name, Table::num(reads, 1), Table::num(writes, 1),
-                  Table::num(fills, 1), Table::num(extra, 1),
-                  Table::num(total, 1), Table::pct(extra / total)});
+        t.addRow({standardWorkloads()[i].name, Table::num(reads, 1),
+                  Table::num(writes, 1), Table::num(fills, 1),
+                  Table::num(extra, 1), Table::num(total, 1),
+                  Table::pct(extra / total)});
     }
     ctx.table(t, std::string(title) + ": L1 accesses / 100 cycles");
     ctx.prose("\n");
 }
 
 void
-figure6L2Table(RunContext &ctx, const CmpConfig &m, const char *title)
+figure6L2Table(RunContext &ctx, const char *title, Fig6Runs runs)
 {
     ctx.prosef("--- %s: L2 cache accesses / 100 cycles (all cores) "
                "---\n\n", title);
     Table t({"Workload", "Read:Inst", "Read:Data", "Write", "Fill/Evict",
              "Extra read (2D)", "Total"});
-    for (const WorkloadProfile &w : standardWorkloads()) {
-        CmpSimulator sim(m, w, ProtectionConfig::full(true), kFig6Seed);
-        const CmpSimResult r = sim.run(kFig6Cycles);
+    for (size_t i = 0; i < runs.size(); ++i) {
+        const CmpSimResult &r = runs[i];
         const double ri = r.per100(r.l2ReadsInst);
         const double rd = r.per100(r.l2ReadsData);
         const double wr = r.per100(r.l2Writes);
         const double fe = r.per100(r.l2FillEvict);
         const double ex = r.per100(r.l2ExtraReads);
-        t.addRow({w.name, Table::num(ri, 1), Table::num(rd, 1),
-                  Table::num(wr, 1), Table::num(fe, 1), Table::num(ex, 1),
-                  Table::num(ri + rd + wr + fe + ex, 1)});
+        t.addRow({standardWorkloads()[i].name, Table::num(ri, 1),
+                  Table::num(rd, 1), Table::num(wr, 1), Table::num(fe, 1),
+                  Table::num(ex, 1), Table::num(ri + rd + wr + fe + ex, 1)});
     }
     ctx.table(t, std::string(title) + ": L2 accesses / 100 cycles");
     ctx.prose("\n");
@@ -162,12 +167,25 @@ figure6(RunContext &ctx)
 {
     ctx.prose("=== Figure 6: cache access breakdown per 100 CPU cycles "
               "===\n\n");
+    // One batch feeds all four panels: the L1 and L2 tables of a
+    // machine read different counters of the same runs.
     const CmpConfig fat = CmpConfig::fat();
     const CmpConfig lean = CmpConfig::lean();
-    figure6L1Table(ctx, fat, "Figure 6(a) fat baseline");
-    figure6L1Table(ctx, lean, "Figure 6(b) lean baseline");
-    figure6L2Table(ctx, fat, "Figure 6(c) fat baseline");
-    figure6L2Table(ctx, lean, "Figure 6(d) lean baseline");
+    const std::vector<WorkloadProfile> &workloads = standardWorkloads();
+    std::vector<CmpRunSpec> specs;
+    for (const CmpConfig &m : {fat, lean})
+        for (const WorkloadProfile &w : workloads)
+            specs.push_back({m, w, ProtectionConfig::full(true), kFig6Seed});
+    const std::vector<CmpSimResult> results =
+        runCmpBatch(specs, kFig6Cycles);
+    const Fig6Runs fat_runs(results.data(), workloads.size());
+    const Fig6Runs lean_runs(results.data() + workloads.size(),
+                             workloads.size());
+
+    figure6L1Table(ctx, fat, "Figure 6(a) fat baseline", fat_runs);
+    figure6L1Table(ctx, lean, "Figure 6(b) lean baseline", lean_runs);
+    figure6L2Table(ctx, "Figure 6(c) fat baseline", fat_runs);
+    figure6L2Table(ctx, "Figure 6(d) lean baseline", lean_runs);
     ctx.prose(
         "Paper shape: writes (the source of read-before-write traffic) "
         "are a small\nfraction of accesses; 2D coding adds roughly 20% "
@@ -423,22 +441,33 @@ ablationHorizontalCodeSweep(RunContext &ctx)
               "EDC8; EDC16 widens detection but doubles check bits.\n\n");
 }
 
+constexpr uint64_t kAblationCycles = 120000;
+constexpr uint64_t kAblationSeed = 42;
+
 void
 ablationStealWindowSweep(RunContext &ctx)
 {
     ctx.prose("--- Ablation 3: port-stealing window (fat CMP, OLTP) "
               "---\n\n");
     const WorkloadProfile &w = workloadByName("OLTP");
-    Table t({"Steal window (cycles)", "IPC loss vs baseline"});
-    CmpSimulator base(CmpConfig::fat(), w, ProtectionConfig::none(), 42);
-    const double base_ipc = base.run(120000).ipc();
-    for (unsigned window : {0u, 1u, 2u, 4u, 8u, 16u}) {
+    const unsigned windows[] = {0, 1, 2, 4, 8, 16};
+    // The unprotected baseline first, then one run per window.
+    std::vector<CmpRunSpec> specs{
+        {CmpConfig::fat(), w, ProtectionConfig::none(), kAblationSeed}};
+    for (unsigned window : windows) {
         CmpConfig m = CmpConfig::fat();
         m.stealWindow = window;
-        ProtectionConfig prot = ProtectionConfig::l1Only(window > 0);
-        CmpSimulator sim(m, w, prot, 42);
-        const double ipc = sim.run(120000).ipc();
-        t.addRow({std::to_string(window),
+        specs.push_back({m, w, ProtectionConfig::l1Only(window > 0),
+                         kAblationSeed});
+    }
+    const std::vector<CmpSimResult> results =
+        runCmpBatch(specs, kAblationCycles);
+
+    Table t({"Steal window (cycles)", "IPC loss vs baseline"});
+    const double base_ipc = results[0].ipc();
+    for (size_t i = 0; i < std::size(windows); ++i) {
+        const double ipc = results[1 + i].ipc();
+        t.addRow({std::to_string(windows[i]),
                   Table::pct((base_ipc - ipc) / base_ipc)});
     }
     ctx.table(t, "Ablation 3: port-stealing window");
@@ -452,20 +481,30 @@ ablationReadBeforeWriteCost(RunContext &ctx)
 {
     ctx.prose("--- Ablation 4: isolated read-before-write cost "
               "(full 2D, both machines) ---\n\n");
+    const CmpConfig machines[] = {CmpConfig::fat(), CmpConfig::lean()};
+    const char *const names[] = {"OLTP", "Ocean"};
+    // Per (machine, workload) row: the baseline, then full 2D.
+    std::vector<CmpRunSpec> specs;
+    for (const CmpConfig &m : machines) {
+        for (const char *name : names) {
+            const WorkloadProfile &w = workloadByName(name);
+            specs.push_back({m, w, ProtectionConfig::none(), kAblationSeed});
+            specs.push_back(
+                {m, w, ProtectionConfig::full(true), kAblationSeed});
+        }
+    }
+    const std::vector<CmpSimResult> results =
+        runCmpBatch(specs, kAblationCycles);
+
     Table t({"Machine", "Workload", "Extra reads / 100 cycles",
              "IPC loss"});
-    for (const CmpConfig &m : {CmpConfig::fat(), CmpConfig::lean()}) {
-        for (const char *name : {"OLTP", "Ocean"}) {
-            const WorkloadProfile &w = workloadByName(name);
-            CmpSimulator base(m, w, ProtectionConfig::none(), 42);
-            CmpSimulator prot(m, w, ProtectionConfig::full(true), 42);
-            const CmpSimResult rb = base.run(120000);
-            const CmpSimResult rp = prot.run(120000);
-            t.addRow({m.name, name,
-                      Table::num(rp.per100(rp.l1ExtraReads +
-                                           rp.l2ExtraReads), 1),
-                      Table::pct((rb.ipc() - rp.ipc()) / rb.ipc())});
-        }
+    for (size_t row = 0; row < specs.size() / 2; ++row) {
+        const CmpSimResult &rb = results[2 * row];
+        const CmpSimResult &rp = results[2 * row + 1];
+        t.addRow({specs[2 * row].machine.name, names[row % std::size(names)],
+                  Table::num(rp.per100(rp.l1ExtraReads +
+                                       rp.l2ExtraReads), 1),
+                  Table::pct((rb.ipc() - rp.ipc()) / rb.ipc())});
     }
     ctx.table(t, "Ablation 4: isolated read-before-write cost");
     ctx.prose("\n");
@@ -476,22 +515,34 @@ ablationWriteThroughComparison(RunContext &ctx)
 {
     ctx.prose("--- Ablation 5: 2D write-back L1 vs EDC write-through "
               "L1 (both over 2D L2) ---\n\n");
+    const CmpConfig machines[] = {CmpConfig::fat(), CmpConfig::lean()};
+    const char *const names[] = {"OLTP", "Web"};
+    const ProtectionConfig schemes[] = {ProtectionConfig::full(true),
+                                        ProtectionConfig::writeThroughL1()};
+    constexpr size_t kStride = 1 + std::size(schemes);
+    // Per (machine, workload) group: the baseline, then each scheme.
+    std::vector<CmpRunSpec> specs;
+    for (const CmpConfig &m : machines) {
+        for (const char *name : names) {
+            const WorkloadProfile &w = workloadByName(name);
+            specs.push_back({m, w, ProtectionConfig::none(), kAblationSeed});
+            for (const ProtectionConfig &prot : schemes)
+                specs.push_back({m, w, prot, kAblationSeed});
+        }
+    }
+    const std::vector<CmpSimResult> results =
+        runCmpBatch(specs, kAblationCycles);
+
     Table t({"Machine", "Workload", "Scheme", "IPC loss",
              "L2 writes / 100 cycles"});
-    for (const CmpConfig &m : {CmpConfig::fat(), CmpConfig::lean()}) {
-        for (const char *name : {"OLTP", "Web"}) {
-            const WorkloadProfile &w = workloadByName(name);
-            CmpSimulator base(m, w, ProtectionConfig::none(), 42);
-            const double base_ipc = base.run(120000).ipc();
-            for (const ProtectionConfig &prot :
-                 {ProtectionConfig::full(true),
-                  ProtectionConfig::writeThroughL1()}) {
-                CmpSimulator sim(m, w, prot, 42);
-                const CmpSimResult r = sim.run(120000);
-                t.addRow({m.name, name, prot.label(),
-                          Table::pct((base_ipc - r.ipc()) / base_ipc),
-                          Table::num(r.per100(r.l2Writes), 1)});
-            }
+    for (size_t group = 0; group < specs.size() / kStride; ++group) {
+        const double base_ipc = results[group * kStride].ipc();
+        for (size_t s = 0; s < std::size(schemes); ++s) {
+            const CmpSimResult &r = results[group * kStride + 1 + s];
+            t.addRow({specs[group * kStride].machine.name,
+                      names[group % std::size(names)], schemes[s].label(),
+                      Table::pct((base_ipc - r.ipc()) / base_ipc),
+                      Table::num(r.per100(r.l2Writes), 1)});
         }
     }
     ctx.table(t, "Ablation 5: write-back 2D vs write-through EDC L1");
