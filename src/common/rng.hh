@@ -11,6 +11,7 @@
 #ifndef TDC_COMMON_RNG_HH
 #define TDC_COMMON_RNG_HH
 
+#include <bit>
 #include <cstdint>
 
 namespace tdc
@@ -29,7 +30,20 @@ class Rng
     explicit Rng(uint64_t seed = 0x2d2d2d2d5eedULL);
 
     /** Next raw 64-bit value. */
-    uint64_t next();
+    uint64_t next()
+    {
+        const uint64_t result = std::rotl(state[1] * 5, 7) * 9;
+        const uint64_t t = state[1] << 17;
+
+        state[2] ^= state[0];
+        state[3] ^= state[1];
+        state[1] ^= state[2];
+        state[0] ^= state[3];
+        state[2] ^= t;
+        state[3] = std::rotl(state[3], 45);
+
+        return result;
+    }
 
     /** Uniform integer in [0, bound). @pre bound > 0 */
     uint64_t nextBelow(uint64_t bound);
@@ -38,10 +52,10 @@ class Rng
     int64_t nextRange(int64_t lo, int64_t hi);
 
     /** Uniform double in [0, 1). */
-    double nextDouble();
+    double nextDouble() { return double(next() >> 11) * 0x1.0p-53; }
 
     /** Bernoulli draw with probability @p p. */
-    bool nextBool(double p = 0.5);
+    bool nextBool(double p = 0.5) { return nextDouble() < p; }
 
     /** Exponentially distributed value with rate @p lambda. */
     double nextExponential(double lambda);

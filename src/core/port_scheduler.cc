@@ -6,57 +6,9 @@ namespace tdc
 {
 
 PortScheduler::PortScheduler(unsigned ports_, unsigned steal_window)
-    : ports(ports_), stealWindow(steal_window)
+    : ports(ports_), stealWindow(steal_window), idleHistory(steal_window, 0)
 {
     assert(ports > 0);
-}
-
-void
-PortScheduler::advanceTo(uint64_t cycle)
-{
-    assert(cycle >= now);
-    if (cycle == now)
-        return;
-
-    // Account idle slots of every fully elapsed cycle for stealing.
-    // The horizon cycle may be partially used; cycles between now and
-    // the horizon are fully booked (horizon invariant).
-    for (uint64_t c = now; c < cycle; ++c) {
-        unsigned used = 0;
-        if (c < horizonCycle)
-            used = ports;
-        else if (c == horizonCycle)
-            used = horizonUsed;
-        const unsigned idle = ports - used;
-        if (stealWindow > 0) {
-            idleHistory.push_back(idle);
-            idleBank += idle;
-            while (idleHistory.size() > stealWindow) {
-                idleBank -= idleHistory.front();
-                idleHistory.pop_front();
-            }
-        }
-    }
-
-    now = cycle;
-    if (horizonCycle < now) {
-        horizonCycle = now;
-        horizonUsed = 0;
-    }
-}
-
-unsigned
-PortScheduler::issueDemand()
-{
-    ++demandCount;
-    if (horizonUsed >= ports) {
-        ++horizonCycle;
-        horizonUsed = 0;
-    }
-    ++horizonUsed;
-    const unsigned delay = unsigned(horizonCycle - now);
-    delaySum += delay;
-    return delay;
 }
 
 unsigned
@@ -67,14 +19,11 @@ PortScheduler::issueStolenRead()
         // read issued early from the store queue and costs nothing
         // now.
         --idleBank;
-        assert(!idleHistory.empty());
         // Consume the oldest recorded idle slot.
-        for (auto &slot : idleHistory) {
-            if (slot > 0) {
-                --slot;
-                break;
-            }
-        }
+        unsigned i = oldest;
+        while (idleHistory[i] == 0)
+            i = i + 1 == stealWindow ? 0 : i + 1;
+        --idleHistory[i];
         ++absorbedCount;
         return 0;
     }

@@ -7,8 +7,9 @@
 #ifndef TDC_CORE_PORT_SCHEDULER_HH
 #define TDC_CORE_PORT_SCHEDULER_HH
 
+#include <cassert>
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 namespace tdc
 {
@@ -38,14 +39,57 @@ class PortScheduler
     PortScheduler(unsigned ports, unsigned steal_window);
 
     /** Advance time to @p cycle (monotonic). */
-    void advanceTo(uint64_t cycle);
+    void advanceTo(uint64_t cycle)
+    {
+        assert(cycle >= now);
+        if (cycle == now)
+            return;
+
+        // Record the idle slots of every fully elapsed cycle for
+        // stealing. The horizon cycle may be partially used; cycles
+        // between now and the horizon are fully booked (horizon
+        // invariant). Only the last stealWindow cycles can survive in
+        // the history, so a longer jump replays just those.
+        if (stealWindow > 0) {
+            const uint64_t from =
+                cycle - now > stealWindow ? cycle - stealWindow : now;
+            for (uint64_t c = from; c < cycle; ++c) {
+                unsigned idle = ports;
+                if (c < horizonCycle)
+                    idle = 0;
+                else if (c == horizonCycle)
+                    idle = ports - horizonUsed;
+                idleBank += idle - idleHistory[oldest];
+                idleHistory[oldest] = idle;
+                if (++oldest == stealWindow)
+                    oldest = 0;
+            }
+        }
+
+        now = cycle;
+        if (horizonCycle < now) {
+            horizonCycle = now;
+            horizonUsed = 0;
+        }
+    }
 
     /**
      * Issue a demand access (read, write, or fill) at the current
      * cycle. Returns the queueing delay in cycles (0 = issued this
      * cycle).
      */
-    unsigned issueDemand();
+    unsigned issueDemand()
+    {
+        ++demandCount;
+        if (horizonUsed >= ports) {
+            ++horizonCycle;
+            horizonUsed = 0;
+        }
+        ++horizonUsed;
+        const unsigned delay = unsigned(horizonCycle - now);
+        delaySum += delay;
+        return delay;
+    }
 
     /**
      * Issue the read half of a read-before-write. Returns the number
@@ -63,9 +107,6 @@ class PortScheduler
     double stealEfficiency() const;
 
   private:
-    /** Free slots at the horizon (cycle where the next access lands). */
-    void refreshHorizon();
-
     unsigned ports;
     unsigned stealWindow;
     uint64_t now = 0;
@@ -74,8 +115,15 @@ class PortScheduler
     uint64_t horizonCycle = 0;
     unsigned horizonUsed = 0;
 
-    /** Idle slots accumulated over the last stealWindow cycles. */
-    std::deque<unsigned> idleHistory;
+    /**
+     * Idle slots of the last stealWindow cycles: a ring whose slot
+     * `oldest` is the oldest cycle (and the next one overwritten).
+     * It starts all zero, which behaves exactly like a shorter
+     * history: empty cycles add nothing and are never stolen from.
+     */
+    std::vector<unsigned> idleHistory;
+    unsigned oldest = 0;
+    /** Sum of idleHistory. */
     unsigned idleBank = 0;
 
     uint64_t demandCount = 0;

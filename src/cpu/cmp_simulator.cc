@@ -76,13 +76,12 @@ CmpSimulator::missLatency(const SyntheticInstr &instr,
     return latency;
 }
 
-unsigned
-CmpSimulator::outstandingMisses(const CoreState &core)
+void
+CmpSimulator::addPending(CoreState &core, const Pending &p)
 {
-    unsigned count = 0;
-    for (const Pending &p : core.pending)
-        count += p.fillsL1;
-    return count;
+    core.pending.push_back(p);
+    core.nextDone = std::min(core.nextDone, p.doneCycle);
+    core.missesInFlight += p.fillsL1;
 }
 
 unsigned
@@ -117,13 +116,18 @@ CmpSimulator::serviceMiss(CoreState &core, const SyntheticInstr &instr,
 void
 CmpSimulator::completePending(CoreState &core)
 {
+    if (now < core.nextDone)
+        return; // nothing is due yet
+    core.nextDone = UINT64_MAX;
     for (size_t i = 0; i < core.pending.size();) {
         Pending &p = core.pending[i];
         if (p.doneCycle > now) {
+            core.nextDone = std::min(core.nextDone, p.doneCycle);
             ++i;
             continue;
         }
         if (p.fillsL1) {
+            --core.missesInFlight;
             // The refill writes the L1 array; under 2D coding the
             // fill is a write and therefore a read-before-write.
             core.l1Ports->advanceTo(now);
@@ -243,11 +247,10 @@ CmpSimulator::stepOutOfOrderCore(CoreState &core)
             } else {
                 p.doneCycle = now + port_delay + machine.l1HitLatency;
             }
-            core.pending.push_back(p);
+            addPending(core, p);
             // A full MSHR file is a structural hazard: no further
             // issue this cycle.
-            if (instr.l1dMiss &&
-                outstandingMisses(core) >= machine.mshrs) {
+            if (instr.l1dMiss && core.missesInFlight >= machine.mshrs) {
                 sq_stall = true;
             }
             break;
@@ -283,12 +286,14 @@ CmpSimulator::stepInOrderCore(CoreState &core)
     const unsigned nthreads = unsigned(core.threads.size());
     for (unsigned slot = 0; slot < machine.issueWidth; ++slot) {
         ThreadState *picked = nullptr;
+        unsigned t = core.nextThread;
         for (unsigned k = 0; k < nthreads; ++k) {
-            ThreadState &cand =
-                core.threads[(core.nextThread + k) % nthreads];
+            ThreadState &cand = core.threads[t];
+            if (++t == nthreads)
+                t = 0;
             if (cand.blockedUntil <= now) {
                 picked = &cand;
-                core.nextThread = (core.nextThread + k + 1) % nthreads;
+                core.nextThread = t;
                 break;
             }
         }
@@ -330,7 +335,7 @@ CmpSimulator::stepInOrderCore(CoreState &core)
                 // A full MSHR file is a structural hazard: the thread
                 // stalls and the load replays once an MSHR frees up
                 // (the instruction is not committed now).
-                if (outstandingMisses(core) >= machine.mshrs) {
+                if (core.missesInFlight >= machine.mshrs) {
                     picked->blockedUntil = now + 2;
                     continue;
                 }
@@ -346,7 +351,7 @@ CmpSimulator::stepInOrderCore(CoreState &core)
                 p.dirtyEvict = instr.dirtyEvict;
                 p.bank = bank;
                 p.thread = thread_id;
-                core.pending.push_back(p);
+                addPending(core, p);
             } else {
                 // In-order blocking load: the thread waits for the L1
                 // hit (plus any port-contention delay); the other

@@ -14,6 +14,7 @@
 #ifndef TDC_CPU_CMP_SIMULATOR_HH
 #define TDC_CPU_CMP_SIMULATOR_HH
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -105,13 +106,17 @@ class CmpSimulator
         unsigned nextThread = 0; ///< SMT round-robin pointer
         std::unique_ptr<PortScheduler> l1Ports;
         std::vector<Pending> pending; ///< outstanding loads (OoO window)
+        /** Earliest doneCycle in pending (UINT64_MAX when empty). */
+        uint64_t nextDone = UINT64_MAX;
+        /** Pending entries that refill the L1 (MSHR occupancy). */
+        unsigned missesInFlight = 0;
         unsigned storeQueueOcc = 0;
         uint64_t lastDrain = 0;       ///< cycle of the last SQ drain
         uint64_t fetchStallUntil = 0; ///< OoO ifetch-miss stall
     };
 
-    /** Outstanding L1 misses of a core (MSHR occupancy). */
-    static unsigned outstandingMisses(const CoreState &core);
+    /** Queue a pending completion on @p core. */
+    static void addPending(CoreState &core, const Pending &p);
 
     /**
      * Service an L1 miss: either an L1-to-L1 dirty transfer from a
