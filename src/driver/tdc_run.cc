@@ -298,9 +298,11 @@ struct CliOptions
     OptimizeObjective objective = OptimizeObjective::kStorage;
     std::string cacheDir;
     bool cacheStats = false;
-    std::string machine = "fat";
+    // IPC-grid settings stay unset unless given, so one passed
+    // without --protection is a usage error instead of being ignored.
+    std::optional<std::string> machine;
     double events = 100.0;
-    double cycles = 150000.0;
+    std::optional<double> cycles;
     uint64_t seed = 12345;
     bool serve = false;
     std::string serveSpec;
@@ -395,7 +397,7 @@ parseCli(const std::vector<std::string> &args)
             opt.machine = value(i);
             if (opt.machine != "fat" && opt.machine != "lean")
                 usageError("--machine expects \"fat\" or \"lean\", got \"" +
-                           opt.machine + "\"");
+                           *opt.machine + "\"");
         } else if (arg == "--format") {
             const std::string &fmt = value(i);
             if (fmt == "table")
@@ -735,11 +737,16 @@ tdcRun(const std::vector<std::string> &args, std::string &out,
                 IpcLossCampaignSpec::fromProtectionSpecs(
                     machine, "IPC loss: " + machine.name + " CMP",
                     opt.protections, opt.workloads);
-            spec.cycles = uint64_t(opt.cycles);
+            if (opt.cycles)
+                spec.cycles = uint64_t(*opt.cycles);
             spec.seed = opt.seed;
             ctx.table(runIpcLossCampaign(spec));
         } else if (!opt.workloads.empty()) {
             usageError("--workload requires at least one --protection");
+        } else if (opt.machine) {
+            usageError("--machine requires at least one --protection");
+        } else if (opt.cycles) {
+            usageError("--cycles requires at least one --protection");
         }
     } catch (const std::invalid_argument &e) {
         err += std::string("tdc_run: ") + e.what() + "\n";

@@ -197,6 +197,10 @@ TEST(TdcRun, UsageErrorsExitTwoWithQuotedToken)
                      "\"blob\"");
     expectUsageError({"--fault", "8x8"}, "--scheme");
     expectUsageError({"--workload", "OLTP"}, "--protection");
+    expectUsageError({"--figure", "table1", "--cycles", "5000"},
+                     "--cycles");
+    expectUsageError({"--figure", "table1", "--machine", "lean"},
+                     "--machine");
     expectUsageError({"--machine", "huge"}, "\"huge\"");
     expectUsageError({"--format", "xml"}, "\"xml\"");
     expectUsageError({"--events", "0", "--figure", "fig1"}, "--events");
