@@ -9,6 +9,11 @@
  * replays from a populated --cache-dir, the fresh-process case. The
  * cold/warm ratio is the headline speedup the cache buys a repeated
  * figure run (acceptance floor: >= 10x on fig7).
+ *
+ * Fig3Cold and InjectFiguresCold (BENCH_0012_campaign_grid.json) time
+ * the cold injection figures alone — fig3, and fig3 + related-work +
+ * chipkill + lifetime — in wall-clock time, since their Monte-Carlo
+ * trials run on the whole worker pool.
  */
 
 #include <benchmark/benchmark.h>
@@ -90,6 +95,10 @@ const std::vector<std::string> kGrid = {
     "--scheme", "2d:edc8/i4+vp32", "--scheme", "conv:secded/i4",
     "--scheme", "2d:edc16/i2+vp32", "--fault", "single",
     "--fault", "32x32", "--fault", "row:32", "--events", "100"};
+const std::vector<std::string> kFig3 = {"--figure", "fig3"};
+const std::vector<std::string> kInjectFigures = {
+    "--figure", "fig3",     "--figure", "related-work",
+    "--figure", "chipkill", "--figure", "lifetime"};
 const std::vector<std::string> kOptimize = {
     "--optimize", "2d:edc{8,16,32}/i{1,2,4}+vp32", "--trials", "20"};
 
@@ -103,6 +112,11 @@ void BM_CustomGridWarm(benchmark::State &s) { benchWarm(s, kGrid); }
 void BM_CustomGridWarmDisk(benchmark::State &s) { benchWarmDisk(s, kGrid); }
 void BM_OptimizeCold(benchmark::State &s) { benchCold(s, kOptimize); }
 void BM_OptimizeWarm(benchmark::State &s) { benchWarm(s, kOptimize); }
+void BM_Fig3Cold(benchmark::State &s) { benchCold(s, kFig3); }
+void BM_InjectFiguresCold(benchmark::State &s)
+{
+    benchCold(s, kInjectFigures);
+}
 
 BENCHMARK(BM_Fig7Cold)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Fig7Warm)->Unit(benchmark::kMillisecond);
@@ -114,6 +128,10 @@ BENCHMARK(BM_CustomGridWarm)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CustomGridWarmDisk)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_OptimizeCold)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_OptimizeWarm)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Fig3Cold)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_InjectFiguresCold)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 } // namespace
 
