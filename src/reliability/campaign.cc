@@ -3,8 +3,6 @@
 #include <cassert>
 #include <cstdio>
 
-#include "common/parallel.hh"
-
 namespace tdc
 {
 
@@ -40,38 +38,31 @@ runCampaignGrid(const CampaignGrid &grid)
     const size_t nr = grid.rowLabels.size();
     const size_t nc = grid.colHeaders.size();
 
-    // Flat cell sharding: each cell writes only its own slot, and the
-    // table is assembled serially in row-major order afterwards.
-    // Injection grids (outcomeCell) compute raw numeric outcomes here
-    // — the expensive, memoizable step — and render the strings in a
-    // separate serial pass below, so formatting never ends up inside
-    // what the result cache stores.
+    // Cells run one at a time on the calling thread, in row-major
+    // order: Monte-Carlo trials are the parallel level, so a cell that
+    // parallelFor()s its trials gets the whole pool. Injection grids
+    // (outcomeCell) keep the raw numeric outcome — the expensive,
+    // memoizable step — apart from its formatted string, so formatting
+    // never ends up inside what the result cache stores.
     std::vector<std::vector<std::string>> cells(
         nr, std::vector<std::string>(nc));
     std::vector<std::vector<InjectionOutcome>> outcomes;
     const bool numeric = bool(grid.outcomeCell);
     if (numeric)
         outcomes.assign(nr, std::vector<InjectionOutcome>(nc));
-    const auto eval = [&](size_t i) {
-        if (numeric)
-            outcomes[i / nc][i % nc] = grid.outcomeCell(i / nc, i % nc);
-        else
-            cells[i / nc][i % nc] = grid.cell(i / nc, i % nc);
-    };
-    if (grid.parallelCells) {
-        parallelFor(nr * nc, eval);
-    } else {
-        for (size_t i = 0; i < nr * nc; ++i)
-            eval(i);
-    }
-    if (numeric) {
-        std::function<std::string(const InjectionOutcome &)> format =
-            grid.formatOutcome;
-        if (!format)
-            format = [](const InjectionOutcome &o) { return o.summary(); };
-        for (size_t r = 0; r < nr; ++r)
-            for (size_t c = 0; c < nc; ++c)
+    std::function<std::string(const InjectionOutcome &)> format =
+        grid.formatOutcome;
+    if (!format)
+        format = [](const InjectionOutcome &o) { return o.summary(); };
+    for (size_t r = 0; r < nr; ++r) {
+        for (size_t c = 0; c < nc; ++c) {
+            if (numeric) {
+                outcomes[r][c] = grid.outcomeCell(r, c);
                 cells[r][c] = format(outcomes[r][c]);
+            } else {
+                cells[r][c] = grid.cell(r, c);
+            }
+        }
     }
 
     CampaignResult result;

@@ -4,9 +4,11 @@
  * is a grid — scheme x interleave degree x fault model x workload —
  * whose cells are either analytic model evaluations or Monte-Carlo
  * injection campaigns. This driver expresses such a figure
- * declaratively (axes + a pure cell evaluator) and executes it over
- * the parallelFor worker pool with counter-based seeding, so every
- * campaign table is bit-identical at any TDC_THREADS setting.
+ * declaratively (axes + a pure cell evaluator) and executes it cell by
+ * cell on the calling thread. Monte-Carlo trials are the only parallel
+ * level: each expensive cell shards its own trials over the parallelFor
+ * worker pool with counter-based seeding, so every campaign table is
+ * bit-identical at any TDC_THREADS setting.
  */
 
 #ifndef TDC_RELIABILITY_CAMPAIGN_HH
@@ -52,7 +54,7 @@ struct CampaignGrid
      * InjectionOutcome of cell (row, col) — typically via
      * cachedInjectAndRecover, so repeated grids replay from the result
      * cache. When set, `cell` must be empty; the executor evaluates
-     * outcomes first (in parallel when parallelCells), keeps them in
+     * outcomes first, keeps them in
      * CampaignResult::outcomes, and renders the table cells afterwards
      * through formatOutcome.
      */
@@ -71,14 +73,6 @@ struct CampaignGrid
     std::function<std::vector<std::vector<std::string>>(
         const std::vector<std::vector<std::string>> &cells)>
         summary;
-
-    /**
-     * Evaluate cells over the worker pool. Leave on for grids of
-     * Monte-Carlo campaigns (each cell's inner sweep then degrades to
-     * serial via the nested-parallelFor rule); analytic grids may
-     * clear it to keep the pool free for an outer driver.
-     */
-    bool parallelCells = true;
 };
 
 /** An executed campaign: the raw cells plus the rendered table. */
@@ -102,7 +96,11 @@ struct CampaignResult
     void print() const;
 };
 
-/** Execute the grid: all cells, then summary rows, reduced in order. */
+/**
+ * Execute the grid: every cell on the calling thread in row-major
+ * order, then the summary rows. A cell that parallelFor()s its trials
+ * gets the whole worker pool.
+ */
 CampaignResult runCampaignGrid(const CampaignGrid &grid);
 
 } // namespace tdc

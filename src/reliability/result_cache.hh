@@ -15,7 +15,7 @@
  *
  * Two tiers:
  *  - an in-memory map, always on, shared by every campaign in the
- *    process (thread-safe; campaign cells evaluate under parallelFor);
+ *    process (thread-safe, so it may be used from inside parallelFor);
  *  - an optional on-disk store (--cache-dir / TDC_CACHE_DIR), one
  *    small file per entry named by the key digest, written atomically
  *    via rename so concurrent writer processes sharing a directory

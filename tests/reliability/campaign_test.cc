@@ -1,13 +1,21 @@
 /**
  * @file
  * Unit and determinism-differential tests of the campaign-grid
- * executor: it must assemble tables correctly and be bit-identical at
- * every worker-pool size. (The injection-campaign arms live behind
+ * executor: it must assemble tables correctly, be bit-identical at
+ * every worker-pool size, and run its cells serially on the caller so
+ * each cell's own trial sweep gets the whole pool. (The injection-campaign arms live behind
  * the ProtectionScheme API now and are covered by the scheme-layer
  * tests.)
  */
 
 #include <gtest/gtest.h>
+
+#include <chrono>
+#include <mutex>
+#include <set>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/parallel.hh"
 #include "reliability/campaign.hh"
@@ -72,6 +80,68 @@ TEST(Campaign, GridIdenticalAtEveryThreadCount)
         EXPECT_EQ(runCampaignGrid(arithmeticGrid()).render(), serial)
             << threads << " threads";
     }
+}
+
+TEST(Campaign, CellsRunInRowMajorOrderOnCaller)
+{
+    ThreadGuard guard;
+    setParallelThreads(4);
+    std::mutex mu;
+    std::vector<std::pair<size_t, size_t>> order;
+    std::set<std::thread::id> threads;
+    CampaignGrid grid = arithmeticGrid();
+    grid.cell = [&](size_t row, size_t col) {
+        std::lock_guard<std::mutex> lock(mu);
+        order.emplace_back(row, col);
+        threads.insert(std::this_thread::get_id());
+        return std::string("x");
+    };
+    runCampaignGrid(grid);
+    const std::vector<std::pair<size_t, size_t>> row_major = {
+        {0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 0}, {2, 1}};
+    EXPECT_EQ(order, row_major);
+    EXPECT_EQ(threads, std::set<std::thread::id>{std::this_thread::get_id()});
+}
+
+TEST(Campaign, CellSweepsReachThePool)
+{
+    ThreadGuard guard;
+    setParallelThreads(4);
+    CampaignGrid grid = arithmeticGrid();
+    std::mutex mu;
+    // Distinct threads seen by each cell's own sweep.
+    std::vector<std::set<std::thread::id>> seen(3 * 2);
+    grid.cell = [&](size_t row, size_t col) {
+        std::set<std::thread::id> &threads = seen[row * 2 + col];
+        // A Monte-Carlo-style sweep inside the cell: a few hundred busy
+        // items. Item 0 also waits (bounded) for a second thread to
+        // show up, so the check does not depend on how fast the pool's
+        // workers wake.
+        parallelFor(300, [&](size_t i) {
+            {
+                std::lock_guard<std::mutex> lock(mu);
+                threads.insert(std::this_thread::get_id());
+            }
+            uint64_t x = i;
+            for (int k = 0; k < 2000; ++k)
+                x = shardSeed(x, k);
+            EXPECT_NE(x, 0u);
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(5);
+            while (i == 0 && std::chrono::steady_clock::now() < deadline) {
+                {
+                    std::lock_guard<std::mutex> lock(mu);
+                    if (threads.size() > 1)
+                        break;
+                }
+                std::this_thread::yield();
+            }
+        });
+        return std::string("x");
+    };
+    runCampaignGrid(grid);
+    for (size_t i = 0; i < seen.size(); ++i)
+        EXPECT_GT(seen[i].size(), 1u) << "cell " << i;
 }
 
 } // namespace
