@@ -1,5 +1,6 @@
 #include "array/fault.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -318,7 +319,8 @@ FaultEvent
 FaultInjector::injectRowBurst(MemoryArray &arr, size_t row, size_t width,
                               long col_lo, FaultPersistence p)
 {
-    assert(width >= 1 && width <= arr.cols());
+    assert(width >= 1);
+    width = std::min(width, arr.cols());
     FaultEvent event;
     event.shape = FaultShape::kRowBurst;
     event.persistence = p;
@@ -338,7 +340,8 @@ FaultInjector::injectColumnBurst(MemoryArray &arr, size_t col,
                                  size_t height, long row_lo,
                                  FaultPersistence p)
 {
-    assert(height >= 1 && height <= arr.rows());
+    assert(height >= 1);
+    height = std::min(height, arr.rows());
     FaultEvent event;
     event.shape = FaultShape::kColumnBurst;
     event.persistence = p;
@@ -358,9 +361,10 @@ FaultInjector::injectCluster(MemoryArray &arr, size_t width, size_t height,
                              double density, long row_lo, long col_lo,
                              FaultPersistence p)
 {
-    assert(width >= 1 && width <= arr.cols());
-    assert(height >= 1 && height <= arr.rows());
+    assert(width >= 1 && height >= 1);
     assert(density > 0.0 && density <= 1.0);
+    width = std::min(width, arr.cols());
+    height = std::min(height, arr.rows());
 
     FaultEvent event;
     event.shape = FaultShape::kCluster;

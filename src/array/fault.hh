@@ -186,14 +186,15 @@ class FaultInjector
                                FaultPersistence p =
                                    FaultPersistence::kTransient);
 
-    /** Contiguous burst of @p width cells in row @p row at a random
-     *  start (or @p col_lo if >= 0). */
+    /** Contiguous burst of @p width cells (clamped to the array
+     *  width) in row @p row at a random start (or @p col_lo if >= 0). */
     FaultEvent injectRowBurst(MemoryArray &arr, size_t row, size_t width,
                               long col_lo = -1,
                               FaultPersistence p =
                                   FaultPersistence::kTransient);
 
-    /** Contiguous burst of @p height cells in column @p col. */
+    /** Contiguous burst of @p height cells (clamped to the array
+     *  height) in column @p col. */
     FaultEvent injectColumnBurst(MemoryArray &arr, size_t col,
                                  size_t height, long row_lo = -1,
                                  FaultPersistence p =
@@ -203,7 +204,9 @@ class FaultInjector
      * WxH rectangular cluster at a random (or given) anchor; each cell
      * in the footprint flips with probability @p density, but the
      * event is re-rolled until at least one cell in every spanned row
-     * flips (so width/height describe the real footprint).
+     * flips (so width/height describe the real footprint). A footprint
+     * wider or taller than the array is clamped to it, so a 1x256
+     * cluster on a 64-row array fails one whole 64-cell column.
      */
     FaultEvent injectCluster(MemoryArray &arr, size_t width, size_t height,
                              double density = 1.0, long row_lo = -1,

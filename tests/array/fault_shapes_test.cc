@@ -4,7 +4,8 @@
  * sense-amp failure. Parse/spec round-trips (with the chip-kill spec()
  * special case: colLo is a chip selector, not a cell anchor), malformed
  * specs quoting the offending token, and exact injector footprints on
- * a symbol-annotated array.
+ * a symbol-annotated array. Also: cluster and burst footprints larger
+ * than the array clamp to it instead of indexing past its edge.
  */
 
 #include <gtest/gtest.h>
@@ -238,6 +239,121 @@ TEST(DramFaultInject, EventDescribeNamesTheNewShapes)
                   .describe()
                   .find("sense-amp"),
               std::string::npos);
+}
+
+/** Every cell of @p ev lies inside its bounding box, and the box lies
+ *  inside @p arr. */
+void
+expectInsideArray(const FaultEvent &ev, const MemoryArray &arr)
+{
+    EXPECT_LE(ev.rowLo, ev.rowHi);
+    EXPECT_LE(ev.colLo, ev.colHi);
+    EXPECT_LT(ev.rowHi, arr.rows());
+    EXPECT_LT(ev.colHi, arr.cols());
+    for (const auto &[r, c] : ev.cells) {
+        EXPECT_GE(r, ev.rowLo);
+        EXPECT_LE(r, ev.rowHi);
+        EXPECT_GE(c, ev.colLo);
+        EXPECT_LE(c, ev.colHi);
+    }
+}
+
+TEST(FaultFootprintClamp, TallClusterFailsOneWholeColumn)
+{
+    MemoryArray arr(8, 16);
+    Rng rng(3);
+    FaultInjector injector(rng);
+    const FaultEvent ev = injector.inject(arr, parseFaultModel("1x256"));
+    expectInsideArray(ev, arr);
+    EXPECT_EQ(ev.rowLo, 0u);
+    EXPECT_EQ(ev.rowHi, 7u);
+    EXPECT_EQ(ev.colLo, ev.colHi);
+    EXPECT_EQ(ev.cells.size(), 8u);
+}
+
+TEST(FaultFootprintClamp, WideAndSquareClustersClampBothAxes)
+{
+    MemoryArray arr(8, 16);
+    Rng rng(4);
+    FaultInjector injector(rng);
+    const FaultEvent wide = injector.inject(arr, parseFaultModel("300x2"));
+    expectInsideArray(wide, arr);
+    EXPECT_EQ(wide.colLo, 0u);
+    EXPECT_EQ(wide.colHi, 15u);
+    EXPECT_EQ(wide.rowHi - wide.rowLo, 1u);
+    EXPECT_EQ(wide.cells.size(), 2u * 16u);
+
+    MemoryArray all(8, 16);
+    const FaultEvent square =
+        injector.inject(all, parseFaultModel("300x300"));
+    expectInsideArray(square, all);
+    EXPECT_EQ(square.cells.size(), 8u * 16u);
+}
+
+TEST(FaultFootprintClamp, SparseOversizedClusterStaysInsideTheArray)
+{
+    Rng rng(9);
+    FaultInjector injector(rng);
+    for (int i = 0; i < 10; ++i) {
+        MemoryArray arr(8, 16);
+        const FaultEvent ev =
+            injector.inject(arr, parseFaultModel("64x64@0.5"));
+        expectInsideArray(ev, arr);
+        EXPECT_EQ(ev.rowHi - ev.rowLo, 7u);
+        EXPECT_LE(ev.cells.size(), 8u * 16u);
+        EXPECT_FALSE(ev.cells.empty());
+    }
+}
+
+TEST(FaultFootprintClamp, RowAndColumnBurstsClampToTheArray)
+{
+    MemoryArray arr(8, 16);
+    Rng rng(5);
+    FaultInjector injector(rng);
+    const FaultEvent row = injector.inject(arr, parseFaultModel("row:300"));
+    expectInsideArray(row, arr);
+    EXPECT_EQ(row.colLo, 0u);
+    EXPECT_EQ(row.colHi, 15u);
+    EXPECT_EQ(row.cells.size(), 16u);
+
+    const FaultEvent col = injector.inject(arr, parseFaultModel("col:65"));
+    expectInsideArray(col, arr);
+    EXPECT_EQ(col.rowLo, 0u);
+    EXPECT_EQ(col.rowHi, 7u);
+    EXPECT_EQ(col.cells.size(), 8u);
+}
+
+TEST(FaultFootprintClamp, InRangeFootprintsDrawUnchangedAnchors)
+{
+    // The clamp must not change what an in-range footprint draws: the
+    // anchors still come from nextBelow over the footprint's slack, in
+    // the same order, so recorded campaign outcomes stay valid.
+    for (uint64_t seed : {1u, 21u, 77u}) {
+        MemoryArray arr(8, 16);
+        Rng rng(seed), ref(seed);
+        FaultInjector injector(rng);
+
+        const FaultEvent cluster =
+            injector.inject(arr, parseFaultModel("16x8"));
+        EXPECT_EQ(cluster.rowLo, ref.nextBelow(8 - 8 + 1));
+        EXPECT_EQ(cluster.colLo, ref.nextBelow(16 - 16 + 1));
+
+        const FaultEvent small =
+            injector.inject(arr, parseFaultModel("4x2"));
+        EXPECT_EQ(small.rowLo, ref.nextBelow(8 - 2 + 1));
+        EXPECT_EQ(small.colLo, ref.nextBelow(16 - 4 + 1));
+
+        const FaultEvent row =
+            injector.inject(arr, parseFaultModel("row:12"));
+        EXPECT_EQ(row.rowLo, ref.nextBelow(8));
+        EXPECT_EQ(row.colLo, ref.nextBelow(16 - 12 + 1));
+
+        const FaultEvent col = injector.inject(arr, parseFaultModel("col:5"));
+        EXPECT_EQ(col.colLo, ref.nextBelow(16));
+        EXPECT_EQ(col.rowLo, ref.nextBelow(8 - 5 + 1));
+
+        EXPECT_EQ(rng.next(), ref.next()) << "seed " << seed;
+    }
 }
 
 } // namespace

@@ -7,6 +7,7 @@
  *  - a CLI-launched custom scheme x fault grid is bit-identical at
  *    TDC_THREADS=1 and 8;
  *  - csv/json formats carry the same cells as the table format;
+ *  - fault footprints larger than a scheme's device clamp to it;
  *  - usage errors (unknown flags/figures, malformed specs) fail with
  *    exit code 2 and a quoted offending token, never a table.
  */
@@ -130,6 +131,21 @@ TEST(TdcRun, CustomGridIdenticalAtOneAndEightThreads)
     threaded.push_back("--threads");
     threaded.push_back("8");
     EXPECT_EQ(runOk(threaded), serial);
+}
+
+TEST(TdcRun, OversizedFootprintsClampToTheDevice)
+{
+    // A 256-row cluster and a 65-cell column burst on 64-row devices
+    // fail one whole column instead of indexing past the array.
+    EXPECT_EQ(runOk({"--scheme", "prod:64x64", "--scheme",
+                     "dram:chipkill/x4", "--fault", "1x256", "--fault",
+                     "col:65", "--events", "2"}),
+              "Injection campaign: 2 events/cell, seed 12345\n"
+              "\n"
+              "Fault       HVProd(64x64)      Chipkill(x4,RS15/12)\n"
+              "---------------------------------------------------\n"
+              "1x256       detected only 0/2  corrected 2/2       \n"
+              "1x65 burst  detected only 0/2  corrected 2/2       \n");
 }
 
 TEST(TdcRun, CustomIpcGridRunsWorkloadSubset)
