@@ -53,9 +53,8 @@ struct CampaignGrid
      * Numeric evaluator for injection grids: returns the raw
      * InjectionOutcome of cell (row, col) — typically via
      * cachedInjectAndRecover, so repeated grids replay from the result
-     * cache. When set, `cell` must be empty; the executor evaluates
-     * outcomes first, keeps them in
-     * CampaignResult::outcomes, and renders the table cells afterwards
+     * cache. When set, `cell` must be empty; the executor keeps each
+     * outcome in CampaignResult::outcomes and renders its table cell
      * through formatOutcome.
      */
     std::function<InjectionOutcome(size_t row, size_t col)> outcomeCell;

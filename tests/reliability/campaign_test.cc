@@ -113,19 +113,19 @@ TEST(Campaign, CellSweepsReachThePool)
     std::vector<std::set<std::thread::id>> seen(3 * 2);
     grid.cell = [&](size_t row, size_t col) {
         std::set<std::thread::id> &threads = seen[row * 2 + col];
+        std::vector<uint64_t> sink(300);
         // A Monte-Carlo-style sweep inside the cell: a few hundred busy
         // items. Item 0 also waits (bounded) for a second thread to
         // show up, so the check does not depend on how fast the pool's
         // workers wake.
-        parallelFor(300, [&](size_t i) {
+        parallelFor(sink.size(), [&](size_t i) {
             {
                 std::lock_guard<std::mutex> lock(mu);
                 threads.insert(std::this_thread::get_id());
             }
-            uint64_t x = i;
-            for (int k = 0; k < 2000; ++k)
-                x = shardSeed(x, k);
-            EXPECT_NE(x, 0u);
+            sink[i] = i;
+            for (uint64_t k = 0; k < 2000; ++k)
+                sink[i] = shardSeed(sink[i], k);
             const auto deadline =
                 std::chrono::steady_clock::now() + std::chrono::seconds(5);
             while (i == 0 && std::chrono::steady_clock::now() < deadline) {
@@ -137,7 +137,7 @@ TEST(Campaign, CellSweepsReachThePool)
                 std::this_thread::yield();
             }
         });
-        return std::string("x");
+        return std::to_string(sink.back());
     };
     runCampaignGrid(grid);
     for (size_t i = 0; i < seen.size(); ++i)
