@@ -6,6 +6,9 @@
  * - CmpSimulatorRun/<machine>: one CmpSimulator::run of 150k cycles,
  *   OLTP, full 2D protection with port stealing (l1+steal+l2), seed
  *   42 — the shape of one fig6 cell.
+ * - InstructionStreamNext/<workload>: 64k InstructionStream::next()
+ *   calls on one stream (seed 42), the per-instruction draw cost that
+ *   every simulated hardware thread pays each issue slot.
  * - PortSchedulerSteal: one L1-like scheduler (2 ports, 12-cycle steal
  *   window) driven by a fixed per-cycle mix of demand accesses and
  *   stolen reads, with occasional multi-cycle jumps, isolating the
@@ -20,6 +23,7 @@
 #include "common/rng.hh"
 #include "core/port_scheduler.hh"
 #include "cpu/cmp_simulator.hh"
+#include "workload/instruction_stream.hh"
 
 namespace
 {
@@ -44,6 +48,27 @@ BENCHMARK_CAPTURE(BM_CmpSimulatorRun, fat, tdc::CmpConfig::fat())
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_CmpSimulatorRun, lean, tdc::CmpConfig::lean())
     ->Unit(benchmark::kMillisecond);
+
+void
+BM_InstructionStreamNext(benchmark::State &state, const char *workload)
+{
+    constexpr int64_t kInstrs = 1 << 16;
+    tdc::InstructionStream stream(tdc::workloadByName(workload), 42);
+    for (auto _ : state) {
+        uint64_t sum = 0;
+        for (int64_t i = 0; i < kInstrs; ++i) {
+            const tdc::SyntheticInstr instr = stream.next();
+            sum += unsigned(instr.kind) + instr.bubbles + instr.l1dMiss +
+                   instr.bankHash;
+        }
+        benchmark::DoNotOptimize(sum);
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()) * kInstrs);
+}
+BENCHMARK_CAPTURE(BM_InstructionStreamNext, OLTP, "OLTP")
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_InstructionStreamNext, Ocean, "Ocean")
+    ->Unit(benchmark::kMicrosecond);
 
 /** One cycle of scheduler traffic. */
 struct SchedStep
