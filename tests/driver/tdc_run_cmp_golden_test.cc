@@ -5,7 +5,8 @@
  * ablation" invocation, recorded before fig6 and ablations 3-5 moved
  * onto runCmpBatch and before the simulator's inner loop was
  * tightened. Every CmpSimulator change must keep it exactly, padding
- * and all, at any thread count.
+ * and all, at any thread count. Each figure run alone, and the three
+ * in any order, must print the same sections.
  */
 
 #include <gtest/gtest.h>
@@ -202,6 +203,44 @@ TEST(TdcRunCmpFigures, Fig5Fig6AblationMatchRecordedText)
         << err;
     EXPECT_TRUE(err.empty()) << err;
     EXPECT_EQ(out, kCmpFiguresText);
+}
+
+/** The section of kCmpFiguresText from @p heading to @p next_heading
+ *  (or to the end when that is empty). */
+std::string
+cmpSection(const std::string &heading, const std::string &next_heading)
+{
+    const std::string all = kCmpFiguresText;
+    const size_t begin = all.find(heading);
+    const size_t end =
+        next_heading.empty() ? all.size() : all.find(next_heading);
+    EXPECT_NE(begin, std::string::npos) << heading;
+    EXPECT_NE(end, std::string::npos) << next_heading;
+    return all.substr(begin, end - begin);
+}
+
+TEST(TdcRunCmpFigures, EachFigureAloneMatchesCombinedRun)
+{
+    const std::string fig5 =
+        cmpSection("=== Figure 5:", "=== Figure 6:");
+    const std::string fig6 = cmpSection("=== Figure 6:", "=== Ablations:");
+    const std::string ablation = cmpSection("=== Ablations:", "");
+    ASSERT_EQ(fig5 + fig6 + ablation, kCmpFiguresText);
+
+    // One process throughout, so later calls reuse simulations that
+    // earlier ones ran: every order must still print the same text.
+    const auto run = [](const std::vector<std::string> &args) {
+        std::string out, err;
+        EXPECT_EQ(tdcRun(args, out, err), 0) << err;
+        EXPECT_TRUE(err.empty()) << err;
+        return out;
+    };
+    EXPECT_EQ(run({"--figure", "fig6"}), fig6);
+    EXPECT_EQ(run({"--figure", "ablation"}), ablation);
+    EXPECT_EQ(run({"--figure", "fig5"}), fig5);
+    EXPECT_EQ(run({"--figure", "ablation", "--figure", "fig6", "--figure",
+                   "fig5"}),
+              ablation + fig6 + fig5);
 }
 
 } // namespace

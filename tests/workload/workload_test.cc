@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "workload/instruction_stream.hh"
 #include "workload/workload_profile.hh"
 
@@ -147,6 +150,152 @@ TEST(InstructionStream, MissFlagsOnlyOnDataOps)
             EXPECT_FALSE(instr.dirtyEvict);
         }
     }
+}
+
+/**
+ * The instruction stream as first written: every Bernoulli draw is an
+ * Rng::nextBool(p) double comparison and the load/store split is one
+ * nextDouble(). InstructionStream must reproduce it draw for draw.
+ */
+class ReferenceStream
+{
+  public:
+    ReferenceStream(const WorkloadProfile &profile_, uint64_t seed)
+        : profile(profile_), rng(seed)
+    {
+    }
+
+    SyntheticInstr next()
+    {
+        if (inBurst) {
+            if (rng.nextBool(profile.burstOffProb))
+                inBurst = false;
+        } else {
+            if (rng.nextBool(profile.burstOnProb))
+                inBurst = true;
+        }
+        const double boost = inBurst ? profile.burstLoadBoost : 1.0;
+        const double load_p = std::min(0.9, profile.loadFrac * boost);
+        const double store_p =
+            std::min(0.9 - load_p, profile.storeFrac * boost);
+
+        SyntheticInstr instr;
+        instr.ifetchMiss = rng.nextBool(profile.l1iMissRate);
+        instr.bankHash = uint32_t(rng.next());
+        if (rng.nextBool(profile.ilpBubbleProb)) {
+            instr.bubbles = 1;
+            while (instr.bubbles < 4 && rng.nextBool(0.45))
+                ++instr.bubbles;
+        }
+        const double draw = rng.nextDouble();
+        if (draw < load_p)
+            instr.kind = SyntheticInstr::Kind::kLoad;
+        else if (draw < load_p + store_p)
+            instr.kind = SyntheticInstr::Kind::kStore;
+        if (instr.kind != SyntheticInstr::Kind::kNonMem) {
+            instr.l1dMiss = rng.nextBool(profile.l1dMissRate);
+            if (instr.l1dMiss) {
+                instr.l2Miss = rng.nextBool(profile.l2MissRate);
+                instr.dirtyEvict = rng.nextBool(profile.dirtyEvictFrac);
+                instr.dirtyShared =
+                    !instr.l2Miss && rng.nextBool(profile.dirtySharedFrac);
+            }
+        }
+        return instr;
+    }
+
+    bool bursty() const { return inBurst; }
+
+  private:
+    const WorkloadProfile profile;
+    Rng rng;
+    bool inBurst = false;
+};
+
+/** Compare @p n instructions of the stream and the reference. */
+void
+expectMatchesReference(const WorkloadProfile &w, uint64_t seed, int n)
+{
+    InstructionStream got(w, seed);
+    ReferenceStream want(w, seed);
+    for (int i = 0; i < n; ++i) {
+        const SyntheticInstr x = got.next();
+        const SyntheticInstr y = want.next();
+        ASSERT_EQ(x.kind, y.kind) << w.name << " seed " << seed << " #" << i;
+        ASSERT_EQ(x.ifetchMiss, y.ifetchMiss) << w.name << " #" << i;
+        ASSERT_EQ(x.l1dMiss, y.l1dMiss) << w.name << " #" << i;
+        ASSERT_EQ(x.l2Miss, y.l2Miss) << w.name << " #" << i;
+        ASSERT_EQ(x.dirtyEvict, y.dirtyEvict) << w.name << " #" << i;
+        ASSERT_EQ(x.dirtyShared, y.dirtyShared) << w.name << " #" << i;
+        ASSERT_EQ(x.bankHash, y.bankHash) << w.name << " #" << i;
+        ASSERT_EQ(x.bubbles, y.bubbles) << w.name << " #" << i;
+        ASSERT_EQ(got.bursty(), want.bursty()) << w.name << " #" << i;
+    }
+}
+
+TEST(InstructionStream, MatchesDoubleDrawReference)
+{
+    for (const WorkloadProfile &w : standardWorkloads())
+        for (uint64_t seed : {1ull, 42ull, 0x9e3779b97f4a7c15ull})
+            expectMatchesReference(w, seed, 200000);
+
+    // Degenerate probabilities: never (0), always (1) and above 1.
+    WorkloadProfile always;
+    always.name = "always";
+    always.loadFrac = 0.0;
+    always.storeFrac = 1.5;
+    always.l1iMissRate = 1.0;
+    always.l1dMissRate = 1.0;
+    always.l2MissRate = 0.0;
+    always.dirtyEvictFrac = 2.0;
+    always.dirtySharedFrac = 1.0;
+    always.ilpBubbleProb = 1.0;
+    always.burstOnProb = 0.5;
+    always.burstOffProb = 1.0;
+    always.burstLoadBoost = 0.0;
+    expectMatchesReference(always, 3, 20000);
+
+    WorkloadProfile never = always;
+    never.name = "never";
+    never.loadFrac = 1.0;
+    never.storeFrac = 0.0;
+    never.l1iMissRate = 0.0;
+    never.l1dMissRate = 0.5;
+    never.l2MissRate = 1.0;
+    never.dirtyEvictFrac = 0.0;
+    never.dirtySharedFrac = 0.0;
+    never.ilpBubbleProb = 0.0;
+    never.burstOnProb = 0.0;
+    never.burstOffProb = 0.0;
+    never.burstLoadBoost = 3.0;
+    expectMatchesReference(never, 5, 20000);
+
+    // Bursts push loadFrac * burstLoadBoost past the 0.9 cap, leaving
+    // a zero (or clipped) store share.
+    WorkloadProfile capped = workloadByName("Web");
+    capped.name = "capped";
+    capped.loadFrac = 0.6;
+    capped.storeFrac = 0.25;
+    capped.burstLoadBoost = 1.8;
+    capped.burstOnProb = 0.3;
+    capped.burstOffProb = 0.2;
+    expectMatchesReference(capped, 7, 50000);
+    capped.loadFrac = 0.5;
+    capped.burstLoadBoost = 1.7;
+    expectMatchesReference(capped, 8, 50000);
+
+    // Probabilities that are exact multiples of 2^-53, where a
+    // threshold off by one would split the draws differently.
+    WorkloadProfile exact = workloadByName("OLTP");
+    exact.name = "exact";
+    exact.l1iMissRate = std::ldexp(12345.0, -53);
+    exact.l1dMissRate = 0.75;
+    exact.l2MissRate = 0.5 + std::ldexp(1.0, -53);
+    exact.dirtyEvictFrac = 1.0 - std::ldexp(1.0, -53);
+    exact.loadFrac = 0.5;
+    exact.storeFrac = 0.25;
+    exact.burstLoadBoost = 1.5;
+    expectMatchesReference(exact, 11, 50000);
 }
 
 } // namespace
