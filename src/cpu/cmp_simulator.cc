@@ -21,21 +21,20 @@ constexpr unsigned kDrainTimeout = 16;
 } // namespace
 
 CmpSimulator::CmpSimulator(const CmpConfig &machine_,
-                           const WorkloadProfile &workload_,
+                           const WorkloadProfile &workload,
                            const ProtectionConfig &protection_,
                            uint64_t seed)
-    : machine(machine_), workload(workload_), protection(protection_)
+    : machine(machine_), protection(protection_)
 {
     cores.resize(machine.cores);
     uint64_t stream_seed = seed * 7919;
     for (unsigned c = 0; c < machine.cores; ++c) {
         CoreState &core = cores[c];
         core.selfIndex = c;
-        core.threads.resize(machine.threadsPerCore);
-        for (ThreadState &t : core.threads) {
-            t.stream = std::make_unique<InstructionStream>(workload,
-                                                           ++stream_seed);
-        }
+        core.threads.reserve(machine.threadsPerCore);
+        for (unsigned t = 0; t < machine.threadsPerCore; ++t)
+            core.threads.push_back(
+                {InstructionStream(workload, ++stream_seed)});
         const unsigned window =
             protection.l1PortStealing ? machine.stealWindow : 0;
         core.l1Ports =
@@ -214,7 +213,7 @@ CmpSimulator::stepOutOfOrderCore(CoreState &core)
             continue;
         }
 
-        const SyntheticInstr instr = thread.stream->next();
+        const SyntheticInstr instr = thread.stream.next();
         thread.bubbleDebt = instr.bubbles;
 
         if (instr.ifetchMiss) {
@@ -300,7 +299,7 @@ CmpSimulator::stepInOrderCore(CoreState &core)
         if (picked == nullptr)
             break; // every thread is blocked
 
-        const SyntheticInstr instr = picked->stream->next();
+        const SyntheticInstr instr = picked->stream.next();
         const unsigned thread_id =
             unsigned(picked - core.threads.data());
 

@@ -93,7 +93,7 @@ class CmpSimulator
     /** Per-hardware-thread state (one per thread per core). */
     struct ThreadState
     {
-        std::unique_ptr<InstructionStream> stream;
+        InstructionStream stream;
         uint64_t blockedUntil = 0; ///< in-order: waiting on a load/ifetch
         unsigned bubbleDebt = 0;   ///< pending ILP bubbles
     };
@@ -146,7 +146,6 @@ class CmpSimulator
         const;
 
     CmpConfig machine;
-    WorkloadProfile workload;
     ProtectionConfig protection;
 
     std::vector<CoreState> cores;

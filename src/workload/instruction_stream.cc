@@ -1,61 +1,43 @@
 #include "workload/instruction_stream.hh"
 
 #include <algorithm>
+#include <cmath>
 
 namespace tdc
 {
 
-InstructionStream::InstructionStream(const WorkloadProfile &profile_,
-                                     uint64_t seed)
-    : profile(profile_), rng(seed)
+uint64_t
+InstructionStream::threshold(double p)
 {
+    if (!(p > 0.0))
+        return 0;
+    if (p >= 1.0)
+        return uint64_t(1) << 53;
+    // p * 2^53 is exact, so m * 2^-53 < p iff m < ceil(p * 2^53).
+    return uint64_t(std::ceil(std::ldexp(p, 53)));
 }
 
-SyntheticInstr
-InstructionStream::next()
+InstructionStream::InstructionStream(const WorkloadProfile &profile,
+                                     uint64_t seed)
+    : rng(seed), ifetchMiss(threshold(profile.l1iMissRate)),
+      bubble(threshold(profile.ilpBubbleProb)), moreBubbles(threshold(0.45)),
+      l1dMiss(threshold(profile.l1dMissRate)),
+      l2Miss(threshold(profile.l2MissRate)),
+      dirtyEvict(threshold(profile.dirtyEvictFrac)),
+      dirtyShared(threshold(profile.dirtySharedFrac))
 {
-    // Markov burst phase transition.
-    if (inBurst) {
-        if (rng.nextBool(profile.burstOffProb))
-            inBurst = false;
-    } else {
-        if (rng.nextBool(profile.burstOnProb))
-            inBurst = true;
+    phases[0].toggle = threshold(profile.burstOnProb);
+    phases[1].toggle = threshold(profile.burstOffProb);
+    for (bool burst : {false, true}) {
+        // Bursts boost the memory mix; the load and store shares
+        // together stay within 90% of instructions.
+        const double boost = burst ? profile.burstLoadBoost : 1.0;
+        const double load_p = std::min(0.9, profile.loadFrac * boost);
+        const double store_p =
+            std::min(0.9 - load_p, profile.storeFrac * boost);
+        phases[burst].load = threshold(load_p);
+        phases[burst].loadOrStore = threshold(load_p + store_p);
     }
-    const double boost = inBurst ? profile.burstLoadBoost : 1.0;
-    const double load_p = std::min(0.9, profile.loadFrac * boost);
-    const double store_p = std::min(0.9 - load_p, profile.storeFrac * boost);
-
-    SyntheticInstr instr;
-    instr.ifetchMiss = rng.nextBool(profile.l1iMissRate);
-    instr.bankHash = uint32_t(rng.next());
-
-    // ILP bubbles: geometric tail, capped so one draw cannot freeze a
-    // core for long.
-    if (rng.nextBool(profile.ilpBubbleProb)) {
-        instr.bubbles = 1;
-        while (instr.bubbles < 4 && rng.nextBool(0.45))
-            ++instr.bubbles;
-    }
-
-    const double draw = rng.nextDouble();
-    if (draw < load_p)
-        instr.kind = SyntheticInstr::Kind::kLoad;
-    else if (draw < load_p + store_p)
-        instr.kind = SyntheticInstr::Kind::kStore;
-    else
-        instr.kind = SyntheticInstr::Kind::kNonMem;
-
-    if (instr.kind != SyntheticInstr::Kind::kNonMem) {
-        instr.l1dMiss = rng.nextBool(profile.l1dMissRate);
-        if (instr.l1dMiss) {
-            instr.l2Miss = rng.nextBool(profile.l2MissRate);
-            instr.dirtyEvict = rng.nextBool(profile.dirtyEvictFrac);
-            instr.dirtyShared =
-                !instr.l2Miss && rng.nextBool(profile.dirtySharedFrac);
-        }
-    }
-    return instr;
 }
 
 } // namespace tdc

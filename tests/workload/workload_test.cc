@@ -152,6 +152,31 @@ TEST(InstructionStream, MissFlagsOnlyOnDataOps)
     }
 }
 
+TEST(InstructionStream, ThresholdSplitsDrawsLikeNextBool)
+{
+    EXPECT_EQ(InstructionStream::threshold(0.0), 0u);
+    EXPECT_EQ(InstructionStream::threshold(-0.5), 0u);
+    EXPECT_EQ(InstructionStream::threshold(1.0), uint64_t(1) << 53);
+    EXPECT_EQ(InstructionStream::threshold(7.0), uint64_t(1) << 53);
+    EXPECT_EQ(InstructionStream::threshold(std::ldexp(12345.0, -53)),
+              12345u);
+    EXPECT_EQ(InstructionStream::threshold(0.75), uint64_t(3) << 51);
+
+    // Around each threshold, the integer comparison agrees with the
+    // double comparison nextBool makes on the same 53-bit draw.
+    for (double p : {std::ldexp(1.0, -53), std::ldexp(12345.0, -53), 0.1,
+                     0.45, 0.5, 0.5 + std::ldexp(1.0, -53), 0.75,
+                     1.0 - std::ldexp(1.0, -53), std::ldexp(1.0, -60)}) {
+        const uint64_t t = InstructionStream::threshold(p);
+        for (uint64_t m : {t - 1, t, t + 1}) {
+            if (m >= uint64_t(1) << 53)
+                continue;
+            EXPECT_EQ(m < t, double(m) * 0x1.0p-53 < p)
+                << "p=" << p << " m=" << m;
+        }
+    }
+}
+
 /**
  * The instruction stream as first written: every Bernoulli draw is an
  * Rng::nextBool(p) double comparison and the load/store split is one
