@@ -394,6 +394,12 @@ parseCli(const std::vector<std::string> &args)
         } else if (arg == "--workload") {
             opt.workloads.push_back(value(i));
         } else if (arg == "--machine") {
+            // One IPC panel per run: a second --machine would silently
+            // replace the first, unlike the repeatable grid flags.
+            if (opt.machine)
+                usageError("--machine given twice (\"" + *opt.machine +
+                           "\", then \"" + value(i) +
+                           "\"); run one machine per invocation");
             opt.machine = value(i);
             if (opt.machine != "fat" && opt.machine != "lean")
                 usageError("--machine expects \"fat\" or \"lean\", got \"" +

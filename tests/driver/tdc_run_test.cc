@@ -218,6 +218,9 @@ TEST(TdcRun, UsageErrorsExitTwoWithQuotedToken)
     expectUsageError({"--figure", "table1", "--machine", "lean"},
                      "--machine");
     expectUsageError({"--machine", "huge"}, "\"huge\"");
+    expectUsageError({"--machine", "fat", "--machine", "lean", "--protection",
+                      "l1", "--cycles", "2000"},
+                     "--machine given twice");
     expectUsageError({"--format", "xml"}, "\"xml\"");
     expectUsageError({"--events", "0", "--figure", "fig1"}, "--events");
     expectUsageError({"--seed", "12x", "--figure", "fig1"}, "\"12x\"");
