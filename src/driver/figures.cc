@@ -168,7 +168,9 @@ figure6(RunContext &ctx)
     ctx.prose("=== Figure 6: cache access breakdown per 100 CPU cycles "
               "===\n\n");
     // One batch feeds all four panels: the L1 and L2 tables of a
-    // machine read different counters of the same runs.
+    // machine read different counters of the same runs. They are
+    // fig5's l1+steal+l2 runs, so after fig5 the batch is all memo
+    // hits.
     const CmpConfig fat = CmpConfig::fat();
     const CmpConfig lean = CmpConfig::lean();
     const std::vector<WorkloadProfile> &workloads = standardWorkloads();
