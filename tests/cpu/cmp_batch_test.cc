@@ -90,6 +90,38 @@ TEST(CmpBatch, DuplicateSpecsWithinAndAcrossBatchesAgree)
     EXPECT_TRUE(runCmpBatch({}, kCycles).empty());
 }
 
+TEST(CmpBatch, ConcurrentBatchesShareTheMemo)
+{
+    ThreadGuard guard;
+    setParallelThreads(4);
+    constexpr uint64_t kCycles = 4000;
+    std::vector<CmpRunSpec> pool;
+    for (const char *name : {"DSS", "Moldyn", "Sparse"})
+        for (const ProtectionConfig &prot :
+             {ProtectionConfig::none(), ProtectionConfig::full(true)})
+            pool.push_back({CmpConfig::fat(), workloadByName(name), prot,
+                            851});
+
+    // Eight overlapping batches at once, each from its own worker (a
+    // nested batch runs serially there), racing on lookups and stores.
+    constexpr size_t kBatches = 8;
+    std::vector<std::vector<CmpRunSpec>> batches(kBatches);
+    for (size_t b = 0; b < kBatches; ++b)
+        for (size_t k = 0; k < 4; ++k)
+            batches[b].push_back(pool[(b + 2 * k) % pool.size()]);
+    std::vector<std::vector<CmpSimResult>> got(kBatches);
+    parallelFor(kBatches, [&](size_t b) {
+        got[b] = runCmpBatch(batches[b], kCycles);
+    });
+
+    for (size_t b = 0; b < kBatches; ++b) {
+        ASSERT_EQ(got[b].size(), batches[b].size());
+        for (size_t k = 0; k < got[b].size(); ++k)
+            EXPECT_EQ(got[b][k], simulate(batches[b][k], kCycles))
+                << "batch " << b << " run " << k;
+    }
+}
+
 TEST(CmpBatch, SpecDifferingInOneFieldIsSimulatedAfresh)
 {
     ThreadGuard guard;
