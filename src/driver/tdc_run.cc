@@ -1,6 +1,8 @@
 #include "driver/tdc_run.hh"
 
+#include <cerrno>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
@@ -167,35 +169,11 @@ RunContext::str() const
 
 // --- Figure registry ------------------------------------------------
 
-namespace
-{
-
-std::vector<FigureDef> &
-figureRegistry()
-{
-    static std::vector<FigureDef> figures = detail::builtinFigures();
-    return figures;
-}
-
-} // namespace
-
-void
-registerFigure(FigureDef figure)
-{
-    auto &figures = figureRegistry();
-    for (FigureDef &existing : figures) {
-        if (existing.key == figure.key) {
-            existing = std::move(figure);
-            return;
-        }
-    }
-    figures.push_back(std::move(figure));
-}
-
-std::vector<FigureDef>
+const std::vector<FigureDef> &
 figureList()
 {
-    return figureRegistry();
+    static const std::vector<FigureDef> figures = detail::builtinFigures();
+    return figures;
 }
 
 // --- CLI ------------------------------------------------------------
@@ -255,8 +233,8 @@ const char *const kUsage =
     "  --shards N                concurrent service shards (default: 4)\n"
     "  --banks N                 cache banks per shard (default: 4)\n"
     "  --ports N                 port slots per cycle (default: 1)\n"
-    "  --steal-window N          RBW port-steal window, 0 disables\n"
-    "                            (default: 8)\n"
+    "  --steal-window N          RBW port-steal window, at most 4096;\n"
+    "                            0 disables (default: 8)\n"
     "  --scrub-interval N        ticks between background scrub steps,\n"
     "                            0 disables (default: 0)\n"
     "  --fault-interval N        ticks between injected fault events,\n"
@@ -347,15 +325,25 @@ parseCount(const std::string &flag, const std::string &value, double max)
     return v;
 }
 
-/** Parse a plain non-negative integer (0 allowed — "disabled"). */
+/**
+ * Parse a plain integer in [0, @p max] (0 often means "disabled").
+ * Digits only: strtoull alone would read "-1" as 2^64 - 1 and clamp
+ * an overflowing value to 2^64 - 1.
+ */
 uint64_t
-parseU64(const std::string &flag, const std::string &value)
+parseU64(const std::string &flag, const std::string &value,
+         uint64_t max = UINT64_MAX)
 {
     char *end = nullptr;
+    errno = 0;
     const uint64_t v = std::strtoull(value.c_str(), &end, 10);
-    if (value.empty() || end != value.c_str() + value.size())
+    if (value.empty() || value[0] < '0' || value[0] > '9' ||
+        end != value.c_str() + value.size() || errno == ERANGE)
         usageError(flag + " expects an unsigned integer, got \"" + value +
                    "\"");
+    if (v > max)
+        usageError(flag + " expects at most " + std::to_string(max) +
+                   ", got \"" + value + "\"");
     return v;
 }
 
@@ -435,12 +423,7 @@ parseCli(const std::vector<std::string> &args)
             // Full-precision uint64 (0 is a legitimate seed); the
             // scientific-notation count parser would round through
             // double.
-            const std::string &v = value(i);
-            char *end = nullptr;
-            opt.seed = std::strtoull(v.c_str(), &end, 10);
-            if (v.empty() || end != v.c_str() + v.size())
-                usageError("--seed expects an unsigned integer, got \"" +
-                           v + "\"");
+            opt.seed = parseU64(arg, value(i));
         } else if (arg == "--serve") {
             opt.serve = true;
             opt.serveSpec = value(i);
@@ -453,7 +436,7 @@ parseCli(const std::vector<std::string> &args)
         } else if (arg == "--ports") {
             opt.ports = unsigned(parseCount(arg, value(i), 64));
         } else if (arg == "--steal-window") {
-            opt.stealWindow = unsigned(parseU64(arg, value(i)));
+            opt.stealWindow = unsigned(parseU64(arg, value(i), 4096));
         } else if (arg == "--scrub-interval") {
             opt.scrubIntervals.push_back(value(i));
         } else if (arg == "--lifetime") {
@@ -701,11 +684,7 @@ tdcRun(const std::vector<std::string> &args, std::string &out,
                 scrubs.push_back(24.0 * 7);
             std::vector<int> spares;
             for (const std::string &s : opt.spares) {
-                const uint64_t v = parseU64("--spares", s);
-                if (v > 4096)
-                    usageError("--spares expects at most 4096, got \"" +
-                               s + "\"");
-                spares.push_back(int(v));
+                spares.push_back(int(parseU64("--spares", s, 4096)));
             }
             if (spares.empty())
                 spares.push_back(0);

@@ -89,7 +89,7 @@ class RunContext
     std::optional<CacheStats> cacheStats_;
 };
 
-/** One registered figure: key, one-line summary, implementation. */
+/** One figure: key, one-line summary, implementation. */
 struct FigureDef
 {
     std::string key;         ///< "--figure" operand, e.g. "fig3"
@@ -97,11 +97,8 @@ struct FigureDef
     std::function<void(RunContext &)> run;
 };
 
-/** Register (or replace, by key) a figure. Built-ins auto-register. */
-void registerFigure(FigureDef figure);
-
-/** All registered figures in registration order. */
-std::vector<FigureDef> figureList();
+/** The built-in figures, in --list-figures order. */
+const std::vector<FigureDef> &figureList();
 
 /**
  * Run the driver on @p args (argv without the program name), appending
@@ -117,7 +114,7 @@ int tdcRunMain(const std::vector<std::string> &args);
 
 namespace detail
 {
-/** The built-in figure set (figures.cc); the registry seeds from it. */
+/** The built-in figure set (figures.cc); figureList() holds it. */
 std::vector<FigureDef> builtinFigures();
 } // namespace detail
 

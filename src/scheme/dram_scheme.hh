@@ -40,7 +40,7 @@ struct DramSchemeConfig
 /** Build a chipkill-class scheme (the "dram:" family backend). */
 SchemePtr makeDramScheme(const DramSchemeConfig &config);
 
-/** The registrable "dram" family (scheme.cc registers it built-in). */
+/** The "dram" family (one of scheme.cc's built-in families). */
 SchemeFamily dramSchemeFamily();
 
 } // namespace tdc

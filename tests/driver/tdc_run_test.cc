@@ -224,6 +224,19 @@ TEST(TdcRun, UsageErrorsExitTwoWithQuotedToken)
     expectUsageError({"--format", "xml"}, "\"xml\"");
     expectUsageError({"--events", "0", "--figure", "fig1"}, "--events");
     expectUsageError({"--seed", "12x", "--figure", "fig1"}, "\"12x\"");
+    // strtoull reads a leading '-' as a wrap to 2^64 - n; a negative
+    // value must be refused, not run as a huge seed or interval.
+    expectUsageError({"--seed", "-1", "--figure", "fig1"}, "\"-1\"");
+    expectUsageError({"--serve", "uniform/n100", "--fault-interval", "-3"},
+                     "\"-3\"");
+    // The window sizes every shard's port ring, so it is bounded; it
+    // used to be truncated to unsigned (2^32 served as 0, stealing off).
+    expectUsageError({"--serve", "uniform/n100", "--steal-window",
+                      "4294967296"},
+                     "\"4294967296\"");
+    // No --serve here: if accepted, these would size a ~4G-slot ring.
+    expectUsageError({"--steal-window", "-1"}, "\"-1\"");
+    expectUsageError({"--steal-window", "4294967295"}, "\"4294967295\"");
     expectUsageError({"--protection", "l3"}, "\"l3\"");
     expectUsageError({"--protection", "l1", "--workload", "NoSuch"},
                      "\"NoSuch\"");

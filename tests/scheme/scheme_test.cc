@@ -122,27 +122,6 @@ TEST(SchemeRegistry, CostSpecSupport)
     EXPECT_EQ(wt.style, SchemeStyle::kWriteThrough);
 }
 
-TEST(SchemeRegistry, RegisterSchemeExtendsAndReplaces)
-{
-    SchemeFamily family;
-    family.key = "test-fam";
-    family.grammar = "test-fam:<anything>";
-    family.description = "unit-test family";
-    family.examples = {"test-fam:x"};
-    family.parse = [](const std::string &, const std::string &) {
-        return makeProductCodeScheme(16, 16);
-    };
-    registerScheme(family);
-    EXPECT_EQ(parseScheme("test-fam:anything")->name(), "HVProd(16x16)");
-
-    // Re-registration replaces (last wins).
-    family.parse = [](const std::string &, const std::string &) {
-        return makeProductCodeScheme(32, 32);
-    };
-    registerScheme(family);
-    EXPECT_EQ(parseScheme("test-fam:anything")->name(), "HVProd(32x32)");
-}
-
 TEST(SchemeErrors, MalformedSpecsThrowWithOffendingTokenQuoted)
 {
     const auto expectThrow = [](const std::string &spec,
