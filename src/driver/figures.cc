@@ -380,6 +380,18 @@ table1(RunContext &ctx)
 
 // --- Ablations ------------------------------------------------------
 
+/** Fill every word of @p arr from @p rng, then hit it with one solid
+ *  32x32 cluster placed by the same @p rng. */
+void
+fillAndInjectCluster(TwoDimArray &arr, Rng &rng)
+{
+    for (size_t r = 0; r < arr.rows(); ++r)
+        for (size_t s = 0; s < arr.wordsPerRow(); ++s)
+            arr.writeWord(r, s, BitVector(64, rng.next()));
+    FaultInjector inj(rng);
+    inj.injectCluster(arr.cells(), 32, 32, 1.0);
+}
+
 void
 ablationVerticalInterleaveSweep(RunContext &ctx)
 {
@@ -392,12 +404,7 @@ ablationVerticalInterleaveSweep(RunContext &ctx)
         TwoDimConfig cfg = TwoDimConfig::l1Default();
         cfg.verticalParityRows = v;
         TwoDimArray arr(cfg);
-        for (size_t r = 0; r < arr.rows(); ++r)
-            for (size_t s = 0; s < arr.wordsPerRow(); ++s)
-                arr.writeWord(r, s, BitVector(64, rng.next()));
-
-        FaultInjector inj(rng);
-        inj.injectCluster(arr.cells(), 32, 32, 1.0);
+        fillAndInjectCluster(arr, rng);
         const bool ok = arr.scrub();
         const uint64_t reads = arr.lastRecovery().rowReads;
         t.addRow({std::to_string(v),
@@ -424,11 +431,7 @@ ablationHorizontalCodeSweep(RunContext &ctx)
         TwoDimConfig cfg = TwoDimConfig::l1Default();
         cfg.horizontalKind = kind;
         TwoDimArray arr(cfg);
-        for (size_t r = 0; r < arr.rows(); ++r)
-            for (size_t s = 0; s < arr.wordsPerRow(); ++s)
-                arr.writeWord(r, s, BitVector(64, rng.next()));
-        FaultInjector inj(rng);
-        inj.injectCluster(arr.cells(), 32, 32, 1.0);
+        fillAndInjectCluster(arr, rng);
         const bool ok = arr.scrub();
 
         const CodePtr code = makeCode(kind, 64);
@@ -602,11 +605,7 @@ ablationRecoveryLatencySweep(RunContext &ctx)
         TwoDimConfig cfg = TwoDimConfig::l1Default();
         cfg.dataRows = rows;
         TwoDimArray arr(cfg);
-        for (size_t r = 0; r < arr.rows(); ++r)
-            for (size_t s = 0; s < arr.wordsPerRow(); ++s)
-                arr.writeWord(r, s, BitVector(64, rng.next()));
-        FaultInjector inj(rng);
-        inj.injectCluster(arr.cells(), 32, 32, 1.0);
+        fillAndInjectCluster(arr, rng);
         const RecoveryReport rep = arr.recover();
         t.addRow({std::to_string(rows),
                   rep.success ? "32x32 corrected" : "FAILED",

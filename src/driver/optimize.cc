@@ -82,8 +82,10 @@ evaluateDesignSpace(const OptimizeRequest &req)
         p.name = scheme->name();
 
         // Coverage: every (spec, fault) cell is its own counter-seeded
-        // campaign — identical to a customInjectionCampaign cell, so
-        // the search shares cache entries with the figure grids.
+        // campaign, seeded by fault index alone. The figure grids seed
+        // by (row, column) and pass their own trials and seed, so
+        // their injection cells never share a cache entry with these;
+        // only the cost cells below do.
         int corrected = 0, total = 0;
         for (size_t f = 0; f < faults.size(); ++f) {
             const InjectionOutcome o = cachedInjectAndRecover(

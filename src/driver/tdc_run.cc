@@ -284,6 +284,9 @@ struct CliOptions
     uint64_t seed = 12345;
     bool serve = false;
     std::string serveSpec;
+    // Last flag seen that only --serve reads, so one given without
+    // --serve is a usage error instead of being ignored.
+    std::string serveOnlyFlag;
     std::string recordTrace;
     size_t shards = 4;
     size_t banks = 4;
@@ -428,14 +431,19 @@ parseCli(const std::vector<std::string> &args)
             opt.serve = true;
             opt.serveSpec = value(i);
         } else if (arg == "--record-trace") {
+            opt.serveOnlyFlag = arg;
             opt.recordTrace = value(i);
         } else if (arg == "--shards") {
+            opt.serveOnlyFlag = arg;
             opt.shards = size_t(parseCount(arg, value(i), 4096));
         } else if (arg == "--banks") {
+            opt.serveOnlyFlag = arg;
             opt.banks = size_t(parseCount(arg, value(i), 4096));
         } else if (arg == "--ports") {
+            opt.serveOnlyFlag = arg;
             opt.ports = unsigned(parseCount(arg, value(i), 64));
         } else if (arg == "--steal-window") {
+            opt.serveOnlyFlag = arg;
             opt.stealWindow = unsigned(parseU64(arg, value(i), 4096));
         } else if (arg == "--scrub-interval") {
             opt.scrubIntervals.push_back(value(i));
@@ -448,6 +456,7 @@ parseCli(const std::vector<std::string> &args)
         } else if (arg == "--mission") {
             opt.missionHours = parseCount(arg, value(i), 1e9);
         } else if (arg == "--fault-interval") {
+            opt.serveOnlyFlag = arg;
             opt.faultInterval = parseU64(arg, value(i));
         } else if (arg == "--list-figures") {
             opt.listFigures = true;
@@ -569,6 +578,10 @@ tdcRun(const std::vector<std::string> &args, std::string &out,
         return 0;
     }
 
+    if (!opt.serve && !opt.serveOnlyFlag.empty()) {
+        err += "tdc_run: " + opt.serveOnlyFlag + " requires --serve\n";
+        return 2;
+    }
     if (opt.figures.empty() && opt.schemes.empty() &&
         opt.protections.empty() && opt.optimizePatterns.empty() &&
         !opt.serve && !opt.lifetime) {
@@ -590,9 +603,11 @@ tdcRun(const std::vector<std::string> &args, std::string &out,
     if (opt.serve) {
         try {
             if (!opt.figures.empty() || !opt.protections.empty() ||
-                opt.lifetime)
+                opt.lifetime || !opt.optimizePatterns.empty() ||
+                opt.machine || !opt.workloads.empty() || opt.cycles)
                 usageError("--serve is exclusive with --figure, "
-                           "--protection and --lifetime");
+                           "--protection, --lifetime, --optimize, "
+                           "--machine, --workload and --cycles");
             if (opt.schemes.size() > 1)
                 usageError("--serve accepts at most one --scheme");
             if (opt.faults.size() > 1)

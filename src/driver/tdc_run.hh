@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "reliability/campaign.hh"
+#include "reliability/result_cache.hh"
 
 namespace tdc
 {

@@ -1,6 +1,5 @@
 #include "reliability/campaign.hh"
 
-#include <cassert>
 #include <cstdio>
 
 namespace tdc
@@ -34,58 +33,24 @@ CampaignResult::print() const
 CampaignResult
 runCampaignGrid(const CampaignGrid &grid)
 {
-    assert(bool(grid.cell) != bool(grid.outcomeCell));
-    const size_t nr = grid.rowLabels.size();
-    const size_t nc = grid.colHeaders.size();
-
     // Cells run one at a time on the calling thread, in row-major
     // order: Monte-Carlo trials are the parallel level, so a cell that
-    // parallelFor()s its trials gets the whole pool. Injection grids
-    // (outcomeCell) keep the raw numeric outcome — the expensive,
-    // memoizable step — apart from its formatted string, so formatting
-    // never ends up inside what the result cache stores.
-    std::vector<std::vector<std::string>> cells(
-        nr, std::vector<std::string>(nc));
-    std::vector<std::vector<InjectionOutcome>> outcomes;
-    const bool numeric = bool(grid.outcomeCell);
-    if (numeric)
-        outcomes.assign(nr, std::vector<InjectionOutcome>(nc));
-    std::function<std::string(const InjectionOutcome &)> format =
-        grid.formatOutcome;
-    if (!format)
-        format = [](const InjectionOutcome &o) { return o.summary(); };
-    for (size_t r = 0; r < nr; ++r) {
-        for (size_t c = 0; c < nc; ++c) {
-            if (numeric) {
-                outcomes[r][c] = grid.outcomeCell(r, c);
-                cells[r][c] = format(outcomes[r][c]);
-            } else {
-                cells[r][c] = grid.cell(r, c);
-            }
-        }
-    }
-
+    // parallelFor()s its trials gets the whole pool.
     CampaignResult result;
     result.title = grid.title;
-    result.headers.reserve(1 + nc);
+    result.headers.reserve(1 + grid.colHeaders.size());
     result.headers.push_back(grid.rowHeader);
     result.headers.insert(result.headers.end(), grid.colHeaders.begin(),
                           grid.colHeaders.end());
-    for (size_t r = 0; r < nr; ++r) {
+    for (size_t r = 0; r < grid.rowLabels.size(); ++r) {
         std::vector<std::string> row;
-        row.reserve(1 + nc);
+        row.reserve(1 + grid.colHeaders.size());
         row.push_back(grid.rowLabels[r]);
-        row.insert(row.end(), cells[r].begin(), cells[r].end());
+        for (size_t c = 0; c < grid.colHeaders.size(); ++c)
+            row.push_back(grid.cell(r, c));
         result.rows.push_back(std::move(row));
-    }
-    result.cells = std::move(cells);
-    result.outcomes = std::move(outcomes);
-    if (grid.summary) {
-        for (auto &row : grid.summary(result.cells))
-            result.rows.push_back(std::move(row));
     }
     return result;
 }
 
 } // namespace tdc
-

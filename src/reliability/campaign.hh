@@ -8,7 +8,9 @@
  * cell on the calling thread. Monte-Carlo trials are the only parallel
  * level: each expensive cell shards its own trials over the parallelFor
  * worker pool with counter-based seeding, so every campaign table is
- * bit-identical at any TDC_THREADS setting.
+ * bit-identical at any TDC_THREADS setting. A memoized cell keeps its
+ * numbers apart from their formatting by itself: the result cache
+ * stores the raw record, and the cell formats what the cache returns.
  */
 
 #ifndef TDC_RELIABILITY_CAMPAIGN_HH
@@ -20,7 +22,6 @@
 #include <vector>
 
 #include "common/table.hh"
-#include "reliability/result_cache.hh"
 
 namespace tdc
 {
@@ -44,47 +45,16 @@ struct CampaignGrid
     std::vector<std::string> rowLabels;
     std::vector<std::string> colHeaders;
 
-    /** Formatted value of cell (row, col). Analytic grids set this;
-     *  injection grids should set outcomeCell instead so the numeric
-     *  result is computed (and memoized) separately from formatting. */
+    /** Formatted value of cell (row, col). */
     std::function<std::string(size_t row, size_t col)> cell;
-
-    /**
-     * Numeric evaluator for injection grids: returns the raw
-     * InjectionOutcome of cell (row, col) — typically via
-     * cachedInjectAndRecover, so repeated grids replay from the result
-     * cache. When set, `cell` must be empty; the executor keeps each
-     * outcome in CampaignResult::outcomes and renders its table cell
-     * through formatOutcome.
-     */
-    std::function<InjectionOutcome(size_t row, size_t col)> outcomeCell;
-
-    /** Renders an outcome into its table cell (default: summary()).
-     *  Pure formatting only — never any computation worth caching. */
-    std::function<std::string(const InjectionOutcome &outcome)>
-        formatOutcome;
-
-    /**
-     * Optional trailing rows computed from the full cell matrix after
-     * every cell ran (e.g. a per-column "Average" row). Each returned
-     * row is label + one cell per column.
-     */
-    std::function<std::vector<std::vector<std::string>>(
-        const std::vector<std::vector<std::string>> &cells)>
-        summary;
 };
 
-/** An executed campaign: the raw cells plus the rendered table. */
+/** An executed campaign: the rendered table's header and rows. */
 struct CampaignResult
 {
     std::string title;
     std::vector<std::string> headers; ///< rowHeader + colHeaders
-    std::vector<std::vector<std::string>> rows; ///< label + cells (+summary)
-    std::vector<std::vector<std::string>> cells; ///< raw grid cells only
-
-    /** Raw numeric outcomes (outcomeCell grids only, else empty) —
-     *  the memoizable result, decoupled from the rendered strings. */
-    std::vector<std::vector<InjectionOutcome>> outcomes;
+    std::vector<std::vector<std::string>> rows; ///< label + cells
 
     /** Assemble the tdc::Table (header + rows). */
     Table toTable() const;
@@ -97,8 +67,8 @@ struct CampaignResult
 
 /**
  * Execute the grid: every cell on the calling thread in row-major
- * order, then the summary rows. A cell that parallelFor()s its trials
- * gets the whole worker pool.
+ * order. A cell that parallelFor()s its trials gets the whole worker
+ * pool.
  */
 CampaignResult runCampaignGrid(const CampaignGrid &grid);
 

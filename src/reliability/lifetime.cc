@@ -412,17 +412,9 @@ LifetimeResult
 cachedLifetime(const LifetimeParams &params,
                const DeviceSessionFactory &factory)
 {
-    const std::string key = lifetimeCacheKey(params);
-    ResultCache &cache = resultCache();
-    const ResultCache::Record rec = cache.memoize(
-        key, [&] { return packLifetime(runLifetime(params, factory)); });
-    if (rec.ints.size() != kLifetimeInts || rec.reals.size() != 1) {
-        // Width mismatch (a foreign record type under this key):
-        // recompute and overwrite rather than fabricate counters.
-        const LifetimeResult fresh = runLifetime(params, factory);
-        cache.store(key, packLifetime(fresh));
-        return fresh;
-    }
+    const ResultCache::Record rec = resultCache().memoize(
+        lifetimeCacheKey(params), kLifetimeInts, 1,
+        [&] { return packLifetime(runLifetime(params, factory)); });
     return unpackLifetime(rec);
 }
 

@@ -311,29 +311,28 @@ ResultCache::memoize(const std::string &key,
     return rec;
 }
 
+ResultCache::Record
+ResultCache::replaceForeign(const std::string &key,
+                            const std::function<Record()> &compute)
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++stats_.corrupt;
+    }
+    const Record rec = compute();
+    store(key, rec);
+    return rec;
+}
+
 InjectionOutcome
 ResultCache::outcome(const std::string &key,
                      const std::function<InjectionOutcome()> &compute)
 {
-    const Record rec = memoize(key, [&] {
+    const Record rec = memoize(key, 4, 0, [&] {
         const InjectionOutcome o = compute();
         return Record{{o.trials, o.corrected, o.detectedOnly, o.silent},
                       {}};
     });
-    if (rec.ints.size() != 4) {
-        // Width mismatch (a foreign record type under this key):
-        // recompute and overwrite rather than fabricate counters.
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.corrupt;
-            memory_.erase(key);
-        }
-        const InjectionOutcome o = compute();
-        store(key,
-              Record{{o.trials, o.corrected, o.detectedOnly, o.silent},
-                     {}});
-        return o;
-    }
     InjectionOutcome o;
     o.trials = int(rec.ints[0]);
     o.corrected = int(rec.ints[1]);
@@ -346,19 +345,8 @@ std::vector<double>
 ResultCache::reals(const std::string &key, size_t count,
                    const std::function<std::vector<double>()> &compute)
 {
-    const Record rec =
-        memoize(key, [&] { return Record{{}, compute()}; });
-    if (rec.reals.size() != count) {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.corrupt;
-            memory_.erase(key);
-        }
-        const std::vector<double> v = compute();
-        store(key, Record{{}, v});
-        return v;
-    }
-    return rec.reals;
+    return memoize(key, 0, count, [&] { return Record{{}, compute()}; })
+        .reals;
 }
 
 CacheStats

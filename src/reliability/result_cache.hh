@@ -45,8 +45,9 @@ namespace tdc
 {
 
 /** Outcome counters of one injection campaign (summed in trial order).
- *  Lives here (not in scheme/) so the cache and the campaign grid can
- *  carry raw outcomes without depending on the scheme registry. */
+ *  Lives here (not in scheme/) so the cache can store and return raw
+ *  outcomes without depending on the scheme registry; a campaign cell
+ *  formats what the cache returns. */
 struct InjectionOutcome
 {
     int trials = 0;
@@ -132,16 +133,30 @@ class ResultCache
     Record memoize(const std::string &key,
                    const std::function<Record()> &compute);
 
+    /**
+     * memoize() for a record of a fixed shape: a cached record that
+     * does not hold exactly @p ints integers and @p reals doubles (a
+     * foreign record type under this key) is counted corrupt,
+     * recomputed and overwritten. Inline, so every caller's lookup is
+     * a call to the two-argument memoize() that perfbench's traced
+     * build wraps.
+     */
+    Record memoize(const std::string &key, size_t ints, size_t reals,
+                   const std::function<Record()> &compute)
+    {
+        Record rec = memoize(key, compute);
+        if (rec.ints.size() != ints || rec.reals.size() != reals)
+            rec = replaceForeign(key, compute);
+        return rec;
+    }
+
     /** memoize() specialized to injection outcomes. */
     InjectionOutcome
     outcome(const std::string &key,
             const std::function<InjectionOutcome()> &compute);
 
-    /**
-     * memoize() specialized to a fixed-width vector of doubles (e.g. a
-     * cost-model triple). A cached record whose width differs from
-     * @p count is treated as corrupt and recomputed.
-     */
+    /** memoize() specialized to a fixed-width vector of doubles (e.g.
+     *  a cost-model triple). */
     std::vector<double>
     reals(const std::string &key, size_t count,
           const std::function<std::vector<double>()> &compute);
@@ -159,6 +174,11 @@ class ResultCache
     static std::string entryFileName(const std::string &key);
 
   private:
+    /** Count the foreign record under @p key corrupt, then recompute
+     *  and store over it. */
+    Record replaceForeign(const std::string &key,
+                          const std::function<Record()> &compute);
+
     std::optional<Record> loadFromDisk(const std::string &key);
     void storeToDisk(const std::string &key, const Record &record);
 

@@ -51,6 +51,40 @@ parseAll(const std::vector<std::string> &specs)
     return schemes;
 }
 
+/**
+ * The injection grid every Monte-Carlo figure shares: one row per
+ * fault spec (labelled by the spec), one column per scheme spec
+ * (headed by the scheme's name), @p trials events per cell rendered
+ * by @p format. Cell (r, c) is its own campaign seeded with
+ * shardSeed(seed, r * columns + c), so the grid is a pure function of
+ * (trials, seed) and every cell replays from the result cache.
+ * Callers override the labels and title that differ.
+ */
+CampaignGrid
+injectionGrid(const std::vector<std::string> &scheme_specs,
+              const std::vector<std::string> &fault_specs, int trials,
+              uint64_t seed, std::string (InjectionOutcome::*format)() const)
+{
+    const std::vector<SchemePtr> schemes = parseAll(scheme_specs);
+    std::vector<FaultModel> faults;
+    faults.reserve(fault_specs.size());
+    for (const std::string &spec : fault_specs)
+        faults.push_back(parseFaultModel(spec));
+
+    CampaignGrid grid;
+    grid.rowHeader = "Fault";
+    grid.rowLabels = fault_specs;
+    for (const SchemePtr &scheme : schemes)
+        grid.colHeaders.push_back(scheme->name());
+    const size_t nc = schemes.size();
+    grid.cell = [=](size_t row, size_t col) {
+        const uint64_t cell_seed = shardSeed(seed, row * nc + col);
+        return (cachedInjectAndRecover(*schemes[col], faults[row], trials,
+                                       cell_seed).*format)();
+    };
+    return grid;
+}
+
 } // namespace
 
 CampaignResult
@@ -155,43 +189,18 @@ figure3InjectionCampaign(int trials, uint64_t seed)
 {
     // Scheme axis: the two conventional baselines and the two 2D
     // variants (EDC8 horizontal; SECDED horizontal for full columns).
-    const std::vector<SchemePtr> schemes = parseAll({
-        "conv:secded/i4",
-        "conv:oecned/i4",
-        "2d:edc8/i4+vp32",
-        "2d:secded/i4+vp32",
-    });
-
     // Fault-model axis: the paper's footprint sweep.
-    static const char *const kFootprints[] = {
-        "1x1",  "4x1",  "8x1",   "32x1",
-        "4x4",  "8x8",  "16x16", "32x32",
-        "1x32", "1x256",
-    };
-
-    CampaignGrid grid;
+    CampaignGrid grid = injectionGrid(
+        {"conv:secded/i4", "conv:oecned/i4", "2d:edc8/i4+vp32",
+         "2d:secded/i4+vp32"},
+        {"1x1", "4x1", "8x1", "32x1", "4x4", "8x8", "16x16", "32x32",
+         "1x32", "1x256"},
+        trials, seed, &InjectionOutcome::verdict);
     grid.rowHeader = "Error footprint";
-    std::vector<FaultModel> faults;
-    for (const char *spec : kFootprints) {
-        faults.push_back(parseFaultModel(spec));
-        grid.rowLabels.push_back(spec);
-    }
     // Figure 3 abbreviates the 2D columns with their vertical code
     // instead of the schemes' canonical "2D(...)+vp" names.
-    grid.colHeaders = {schemes[0]->name(), schemes[1]->name(),
-                       "2D (EDC8, EDC32)", "2D (SECDED, EDC32)"};
-    const size_t nc = grid.colHeaders.size();
-    grid.outcomeCell = [=](size_t row, size_t col) {
-        // Each cell is its own campaign with a counter-based seed, so
-        // the grid is a pure function of (trials, seed) — and therefore
-        // memoizable in the result cache.
-        const uint64_t cell_seed = shardSeed(seed, row * nc + col);
-        return cachedInjectAndRecover(*schemes[col], faults[row], trials,
-                                      cell_seed);
-    };
-    grid.formatOutcome = [](const InjectionOutcome &o) {
-        return o.verdict();
-    };
+    grid.colHeaders[2] = "2D (EDC8, EDC32)";
+    grid.colHeaders[3] = "2D (SECDED, EDC32)";
     return runCampaignGrid(grid);
 }
 
@@ -306,29 +315,12 @@ figure8SoftErrorCampaign()
 CampaignResult
 relatedWorkCampaign(int trials, uint64_t seed)
 {
-    const std::vector<SchemePtr> schemes =
-        parseAll({"prod:256x256", "2d:edc8/i4+vp32"});
-    static const char *const kFootprints[] = {
-        "1x1", "3x1", "1x3", "2x2", "8x8", "32x32",
-    };
-
-    CampaignGrid grid;
+    CampaignGrid grid = injectionGrid(
+        {"prod:256x256", "2d:edc8/i4+vp32"},
+        {"1x1", "3x1", "1x3", "2x2", "8x8", "32x32"}, trials, seed,
+        &InjectionOutcome::verdict);
     grid.rowHeader = "Error footprint";
-    std::vector<FaultModel> faults;
-    for (const char *spec : kFootprints) {
-        faults.push_back(parseFaultModel(spec));
-        grid.rowLabels.push_back(spec);
-    }
     grid.colHeaders = {"HV product code", "2D (EDC8+Intv4, EDC32)"};
-    const size_t nc = grid.colHeaders.size();
-    grid.outcomeCell = [=](size_t row, size_t col) {
-        const uint64_t cell_seed = shardSeed(seed, row * nc + col);
-        return cachedInjectAndRecover(*schemes[col], faults[row], trials,
-                                      cell_seed);
-    };
-    grid.formatOutcome = [](const InjectionOutcome &o) {
-        return o.verdict();
-    };
     return runCampaignGrid(grid);
 }
 
@@ -377,38 +369,17 @@ chipkillOverheadCampaign()
 CampaignResult
 chipkillInjectionCampaign(int trials, uint64_t seed)
 {
-    const std::vector<SchemePtr> schemes =
-        parseAll(kChipkillFigureSchemes);
-
     // Fault axis: the SRAM footprints the paper sweeps plus the
     // device-derived DRAM shapes. On bit arrays (symbol width 1) a
     // chip kill degenerates to a full column, so every cell is
     // well-defined across the whole comparison set.
-    static const char *const kFootprints[] = {
-        "single", "row:4", "8x8", "fullcol",
-        "chip:any", "hammer:3@0.5", "senseamp:16",
-    };
-
-    CampaignGrid grid;
+    CampaignGrid grid = injectionGrid(
+        kChipkillFigureSchemes,
+        {"single", "row:4", "8x8", "fullcol", "chip:any", "hammer:3@0.5",
+         "senseamp:16"},
+        trials, seed, &InjectionOutcome::verdict);
     grid.title = "Chipkill comparison: " + std::to_string(trials) +
                  " events/cell, seed " + std::to_string(seed);
-    grid.rowHeader = "Fault";
-    std::vector<FaultModel> faults;
-    for (const char *spec : kFootprints) {
-        faults.push_back(parseFaultModel(spec));
-        grid.rowLabels.push_back(spec);
-    }
-    for (const SchemePtr &scheme : schemes)
-        grid.colHeaders.push_back(scheme->name());
-    const size_t nc = grid.colHeaders.size();
-    grid.outcomeCell = [=](size_t row, size_t col) {
-        const uint64_t cell_seed = shardSeed(seed, row * nc + col);
-        return cachedInjectAndRecover(*schemes[col], faults[row], trials,
-                                      cell_seed);
-    };
-    grid.formatOutcome = [](const InjectionOutcome &o) {
-        return o.verdict();
-    };
     return runCampaignGrid(grid);
 }
 
@@ -417,26 +388,12 @@ customInjectionCampaign(const std::vector<std::string> &scheme_specs,
                         const std::vector<std::string> &fault_specs,
                         int trials, uint64_t seed)
 {
-    const std::vector<SchemePtr> schemes = parseAll(scheme_specs);
-    std::vector<FaultModel> faults;
-    faults.reserve(fault_specs.size());
-    for (const std::string &spec : fault_specs)
-        faults.push_back(parseFaultModel(spec));
-
-    CampaignGrid grid;
+    CampaignGrid grid = injectionGrid(scheme_specs, fault_specs, trials,
+                                      seed, &InjectionOutcome::summary);
     grid.title = "Injection campaign: " + std::to_string(trials) +
                  " events/cell, seed " + std::to_string(seed);
-    grid.rowHeader = "Fault";
-    for (const FaultModel &fault : faults)
-        grid.rowLabels.push_back(fault.describe());
-    for (const SchemePtr &scheme : schemes)
-        grid.colHeaders.push_back(scheme->name());
-    const size_t nc = grid.colHeaders.size();
-    grid.outcomeCell = [=](size_t row, size_t col) {
-        const uint64_t cell_seed = shardSeed(seed, row * nc + col);
-        return cachedInjectAndRecover(*schemes[col], faults[row], trials,
-                                      cell_seed);
-    };
+    for (std::string &label : grid.rowLabels)
+        label = parseFaultModel(label).describe();
     return runCampaignGrid(grid);
 }
 

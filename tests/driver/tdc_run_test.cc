@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "common/cpu_features.hh"
 #include "common/parallel.hh"
 #include "driver/tdc_run.hh"
@@ -237,6 +239,18 @@ TEST(TdcRun, UsageErrorsExitTwoWithQuotedToken)
     // No --serve here: if accepted, these would size a ~4G-slot ring.
     expectUsageError({"--steal-window", "-1"}, "\"-1\"");
     expectUsageError({"--steal-window", "4294967295"}, "\"4294967295\"");
+    // Flags only --serve reads are refused without it, not ignored.
+    for (const char *flag : {"--shards", "--banks", "--ports",
+                             "--steal-window", "--fault-interval"})
+        expectUsageError({"--figure", "table1", flag, "4"},
+                         std::string(flag) + " requires --serve");
+    const std::filesystem::path trace =
+        std::filesystem::temp_directory_path() / "tdc_run_unserved.trc";
+    std::filesystem::remove(trace);
+    expectUsageError({"--figure", "table1", "--record-trace",
+                      trace.string()},
+                     "--record-trace requires --serve");
+    EXPECT_FALSE(std::filesystem::exists(trace));
     expectUsageError({"--protection", "l3"}, "\"l3\"");
     expectUsageError({"--protection", "l1", "--workload", "NoSuch"},
                      "\"NoSuch\"");
@@ -316,6 +330,19 @@ TEST(TdcRun, ServeUsageErrorsExitTwoWithQuotedToken)
                      "--serve");
     expectUsageError({"--serve", "uniform", "--protection", "l1"},
                      "--serve");
+    // Every other mode's flags are refused too, not dropped.
+    expectUsageError({"--serve", "uniform/n1e3/w30", "--optimize",
+                      "2d:edc{8,16}/i4+vp32"},
+                     "--optimize");
+    expectUsageError({"--serve", "uniform/n1e3/w30", "--machine", "fat"},
+                     "--machine");
+    expectUsageError({"--serve", "uniform/n1e3/w30", "--workload", "OLTP"},
+                     "--workload");
+    expectUsageError({"--serve", "uniform/n1e3/w30", "--cycles", "1000"},
+                     "--cycles");
+    expectUsageError({"--serve", "uniform/n1e3/w30", "--machine", "fat",
+                      "--workload", "OLTP", "--cycles", "1000"},
+                     "--serve is exclusive");
     expectUsageError({"--serve", "uniform", "--scheme", "2d:edc8/i4+vp32",
                       "--scheme", "2d:edc8/i2+vp32"},
                      "at most one");

@@ -328,6 +328,33 @@ TEST(LifetimeEngine, CachedEqualsDirect)
     resultCache().clearMemory();
 }
 
+TEST(LifetimeEngine, CachedLifetimeRecomputesAForeignShapeRecord)
+{
+    resultCache().setDirectory("");
+    resultCache().clearMemory();
+    resultCache().resetStats();
+
+    const SchemePtr scheme = parseScheme("conv:secded/i4/r64");
+    LifetimeParams p = baseParams(168.0, 0);
+    p.trials = 6;
+    p.schemeSpec = scheme->spec();
+    const auto factory = [&](Rng &fill) {
+        return scheme->openSession(fill);
+    };
+    const LifetimeResult direct = runLifetime(p, factory);
+
+    // A record of another type under the lifetime key: it must be
+    // counted corrupt and recomputed, like an injection or reals
+    // record of the wrong width, never unpacked.
+    resultCache().store(lifetimeCacheKey(p), {{1, 2}, {}});
+    EXPECT_EQ(cachedLifetime(p, factory), direct);
+    EXPECT_EQ(resultCache().stats().corrupt, 1u);
+    // The recomputed record replaced the foreign one.
+    EXPECT_EQ(cachedLifetime(p, factory), direct);
+    EXPECT_EQ(resultCache().stats().corrupt, 1u);
+    resultCache().clearMemory();
+}
+
 TEST(LifetimeEngine, CacheKeyNamesEveryAxis)
 {
     LifetimeParams p = baseParams(168.0, 3);
