@@ -55,6 +55,7 @@ MemoryArray::writeRow(size_t r, const BitVector &value)
     assert(r < rows());
     assert(value.size() == cols());
     ++writes;
+    ++mutations;
     cells.setRow(r, value);
 }
 
@@ -64,6 +65,7 @@ MemoryArray::xorRow(size_t r, const BitVector &delta)
     assert(r < rows());
     assert(delta.size() == cols());
     ++writes;
+    ++mutations;
     cells.row(r) ^= delta;
 }
 
@@ -84,6 +86,7 @@ void
 MemoryArray::writeBit(size_t r, size_t c, bool value)
 {
     assert(r < rows() && c < cols());
+    ++mutations;
     cells.set(r, c, value);
 }
 
@@ -91,6 +94,7 @@ void
 MemoryArray::flipBit(size_t r, size_t c)
 {
     assert(r < rows() && c < cols());
+    ++mutations;
     cells.flip(r, c);
 }
 
@@ -98,6 +102,7 @@ void
 MemoryArray::addStuckAt(size_t r, size_t c, bool value)
 {
     assert(r < rows() && c < cols());
+    ++mutations;
     auto &row_faults = stuckByRow[r];
     for (auto &[col, v] : row_faults) {
         if (col == c) {
@@ -112,6 +117,7 @@ MemoryArray::addStuckAt(size_t r, size_t c, bool value)
 void
 MemoryArray::clearFault(size_t r, size_t c)
 {
+    ++mutations;
     auto it = stuckByRow.find(r);
     if (it == stuckByRow.end())
         return;
@@ -129,6 +135,7 @@ MemoryArray::clearFault(size_t r, size_t c)
 void
 MemoryArray::clearAllFaults()
 {
+    ++mutations;
     stuckByRow.clear();
     stuckTotal = 0;
 }
@@ -147,6 +154,7 @@ MemoryArray::stuckRows() const
 void
 MemoryArray::clearRowFaults(size_t r)
 {
+    ++mutations;
     auto it = stuckByRow.find(r);
     if (it == stuckByRow.end())
         return;

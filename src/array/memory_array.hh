@@ -139,6 +139,15 @@ class MemoryArray
     uint64_t writeCount() const { return writes; }
     void resetCounters();
 
+    /**
+     * Monotonic mutation count: bumped by every member that changes
+     * stored state or the fault overlay (writeRow, xorRow, writeBit,
+     * flipBit, addStuckAt, clearFault, clearAllFaults,
+     * clearRowFaults), never reset. Equal versions mean equal visible
+     * contents, which lets TwoDimArray reuse a failed recovery.
+     */
+    uint64_t version() const { return mutations; }
+
   private:
     BitMatrix cells;
     /** Stuck cells of each faulty row, as (column, stuck value). */
@@ -148,6 +157,7 @@ class MemoryArray
     size_t symbolWidth = 1;
     mutable uint64_t reads = 0;
     uint64_t writes = 0;
+    uint64_t mutations = 0;
 };
 
 } // namespace tdc

@@ -26,6 +26,22 @@ TwoDimArray::writeWord(size_t row, size_t slot, const BitVector &value)
     data.readRowInto(row, rowScratch);
     ++stat.readBeforeWrites;
 
+    // The parity holds the old word's intended value, so the old word
+    // is checked before it is folded out: a fault in it must not land
+    // in the parity. A clean word costs one syndrome check.
+    map.extractWordInto(rowScratch, slot, cwScratch);
+    if (!horizontal->syndromeClean(cwScratch)) {
+        DecodeResult old = horizontal->decode(cwScratch);
+        if (old.uncorrectable()) {
+            // As readWord: recover the bank, then re-read the row.
+            recover();
+            data.readRowInto(row, rowScratch);
+            old = horizontal->decode(map.extractWord(rowScratch, slot));
+        }
+        if (old.corrected())
+            map.depositWord(rowScratch, slot, horizontal->encode(old.data));
+    }
+
     // Step 2: write new data & horizontal code, and fold old ^ new
     // into the vertical parity row — all through recycled scratch
     // buffers, no per-access row temporaries.
@@ -258,6 +274,16 @@ RecoveryReport
 TwoDimArray::recover()
 {
     ++stat.recoveries;
+    const uint64_t data_version = data.version();
+    const uint64_t parity_version = parity.cells().version();
+    if (lastFailureReusable && data_version == failedDataVersion &&
+        parity_version == failedParityVersion) {
+        // Nothing changed since a failed recovery that itself changed
+        // nothing: a rerun would march to the same report.
+        ++stat.recoveryFailures;
+        ++stat.recoveryReuses;
+        return lastReport;
+    }
     RecoveryReport report;
 
     // Sweep the bank (BIST-style march): collect faulty rows.
@@ -308,6 +334,11 @@ TwoDimArray::recover()
     if (!report.success)
         ++stat.recoveryFailures;
     lastReport = report;
+    lastFailureReusable = !report.success &&
+                          data.version() == data_version &&
+                          parity.cells().version() == parity_version;
+    failedDataVersion = data_version;
+    failedParityVersion = parity_version;
     return report;
 }
 

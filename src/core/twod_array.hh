@@ -44,6 +44,8 @@ struct RecoveryReport
 
     /** Whether the column path had to run. */
     bool usedColumnPath = false;
+
+    bool operator==(const RecoveryReport &) const = default;
 };
 
 /** Aggregate statistics of a TwoDimArray instance. */
@@ -55,6 +57,13 @@ struct TwoDimStats
     uint64_t inlineCorrections = 0; ///< horizontal (SECDED) fixes
     uint64_t recoveries = 0;
     uint64_t recoveryFailures = 0;
+
+    /**
+     * Recoveries (counted in recoveries and recoveryFailures too)
+     * that returned the previous failed report instead of marching
+     * the bank again, because no data or parity cell changed since.
+     */
+    uint64_t recoveryReuses = 0;
 
     /**
      * readWord accesses served by borrowing the stored row as a span
@@ -76,6 +85,7 @@ struct TwoDimStats
         inlineCorrections += o.inlineCorrections;
         recoveries += o.recoveries;
         recoveryFailures += o.recoveryFailures;
+        recoveryReuses += o.recoveryReuses;
         rowBorrows += o.rowBorrows;
         rowCopies += o.rowCopies;
         return *this;
@@ -119,6 +129,9 @@ class TwoDimArray
     /**
      * Write @p value into word @p slot of row @p row. Performs the
      * read-before-write and the incremental vertical parity update.
+     * The old word is decoded first, so a fault in it never lands in
+     * the parity: a corrected old word is folded as corrected, and a
+     * detected-uncorrectable one runs recover() and is re-read first.
      */
     void writeWord(size_t row, size_t slot, const BitVector &value);
 
@@ -137,6 +150,12 @@ class TwoDimArray
      * group holds multiple faulty rows, fall back to the column-
      * location path. Clears transient faults it repairs; stuck-at
      * cells will re-corrupt on the next write (as in hardware).
+     *
+     * The outcome is a function of data, parity and fault overlay
+     * alone. A failed recovery that wrote nothing is therefore
+     * remembered: until a data or parity cell changes, a later call
+     * returns the same report (counted as a recovery, a failure and a
+     * reuse) without marching the bank again.
      */
     RecoveryReport recover();
 
@@ -193,6 +212,12 @@ class TwoDimArray
     VerticalParity parity;
     TwoDimStats stat;
     RecoveryReport lastReport;
+
+    /** Whether lastReport is a failure that left the bank unchanged,
+     *  and the data / parity versions it left behind. */
+    bool lastFailureReusable = false;
+    uint64_t failedDataVersion = 0;
+    uint64_t failedParityVersion = 0;
 
     /**
      * Reusable scratch buffers for the access hot paths (readWord /

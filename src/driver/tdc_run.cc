@@ -284,9 +284,6 @@ struct CliOptions
     uint64_t seed = 12345;
     bool serve = false;
     std::string serveSpec;
-    // Last flag seen that only --serve reads, so one given without
-    // --serve is a usage error instead of being ignored.
-    std::string serveOnlyFlag;
     std::string recordTrace;
     size_t shards = 4;
     size_t banks = 4;
@@ -306,6 +303,9 @@ struct CliOptions
     bool listFaults = false;
     bool cpu = false;
     bool help = false;
+    // Every flag given, in order, for the check that some selected
+    // mode reads it.
+    std::vector<std::string> given;
 };
 
 [[noreturn]] void
@@ -374,6 +374,7 @@ parseCli(const std::vector<std::string> &args)
     };
     for (size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
+        opt.given.push_back(arg);
         if (arg == "--figure") {
             opt.figures.push_back(value(i));
         } else if (arg == "--scheme") {
@@ -431,19 +432,14 @@ parseCli(const std::vector<std::string> &args)
             opt.serve = true;
             opt.serveSpec = value(i);
         } else if (arg == "--record-trace") {
-            opt.serveOnlyFlag = arg;
             opt.recordTrace = value(i);
         } else if (arg == "--shards") {
-            opt.serveOnlyFlag = arg;
             opt.shards = size_t(parseCount(arg, value(i), 4096));
         } else if (arg == "--banks") {
-            opt.serveOnlyFlag = arg;
             opt.banks = size_t(parseCount(arg, value(i), 4096));
         } else if (arg == "--ports") {
-            opt.serveOnlyFlag = arg;
             opt.ports = unsigned(parseCount(arg, value(i), 64));
         } else if (arg == "--steal-window") {
-            opt.serveOnlyFlag = arg;
             opt.stealWindow = unsigned(parseU64(arg, value(i), 4096));
         } else if (arg == "--scrub-interval") {
             opt.scrubIntervals.push_back(value(i));
@@ -456,7 +452,6 @@ parseCli(const std::vector<std::string> &args)
         } else if (arg == "--mission") {
             opt.missionHours = parseCount(arg, value(i), 1e9);
         } else if (arg == "--fault-interval") {
-            opt.serveOnlyFlag = arg;
             opt.faultInterval = parseU64(arg, value(i));
         } else if (arg == "--list-figures") {
             opt.listFigures = true;
@@ -473,6 +468,65 @@ parseCli(const std::vector<std::string> &args)
         }
     }
     return opt;
+}
+
+/**
+ * A usage error for the first flag in @p opt that no selected mode
+ * reads, or "" if there is none: a serve-only flag without --serve,
+ * anything but --format with --cpu, and --events/--trials, --seed,
+ * --scrub-interval, --objective or --mission when a mode is selected
+ * but none of the selected ones reads them (with no mode at all, the
+ * usage text is the error). The dispatch checks refuse the rest:
+ * --fit-mix, --spares, the IPC flags, and other modes under --serve.
+ */
+std::string
+unreadFlagError(const CliOptions &opt)
+{
+    const bool grid = !opt.schemes.empty() && !opt.lifetime && !opt.serve;
+    const bool optimize = !opt.optimizePatterns.empty();
+    const bool ipc = !opt.protections.empty();
+    std::string modes;
+    const auto mode = [&](bool on, const char *flag) {
+        if (on)
+            modes += std::string(modes.empty() ? "" : ", ") + flag;
+    };
+    if (opt.cpu) {
+        mode(true, "--cpu");
+    } else {
+        mode(!opt.figures.empty(), "--figure");
+        mode(grid, "--scheme");
+        mode(opt.lifetime, "--lifetime");
+        mode(optimize, "--optimize");
+        mode(ipc, "--protection");
+        mode(opt.serve, "--serve");
+    }
+    for (const std::string &flag : opt.given) {
+        bool read;
+        if (opt.cpu) {
+            read = flag == "--cpu" || flag == "--format";
+        } else if (flag == "--shards" || flag == "--banks" ||
+                   flag == "--ports" || flag == "--steal-window" ||
+                   flag == "--fault-interval" || flag == "--record-trace") {
+            if (!opt.serve)
+                return flag + " requires --serve";
+            continue;
+        } else if (flag == "--events" || flag == "--trials") {
+            read = grid || opt.lifetime || optimize;
+        } else if (flag == "--seed") {
+            read = grid || opt.lifetime || optimize || ipc || opt.serve;
+        } else if (flag == "--scrub-interval") {
+            read = opt.serve || opt.lifetime;
+        } else if (flag == "--objective") {
+            read = optimize;
+        } else if (flag == "--mission") {
+            read = opt.lifetime;
+        } else {
+            continue;
+        }
+        if (!read && !modes.empty())
+            return "\"" + flag + "\" is not read by " + modes;
+    }
+    return "";
 }
 
 std::string
@@ -553,6 +607,10 @@ tdcRun(const std::vector<std::string> &args, std::string &out,
             out += listFaultsText();
         return 0;
     }
+    if (const std::string unread = unreadFlagError(opt); !unread.empty()) {
+        err += "tdc_run: " + unread + "\n";
+        return 2;
+    }
     if (opt.cpu) {
         // Machine report: probed ISA features plus the codec backend
         // the dispatch layer settled on (honors TDC_SIMD). Goes
@@ -578,10 +636,6 @@ tdcRun(const std::vector<std::string> &args, std::string &out,
         return 0;
     }
 
-    if (!opt.serve && !opt.serveOnlyFlag.empty()) {
-        err += "tdc_run: " + opt.serveOnlyFlag + " requires --serve\n";
-        return 2;
-    }
     if (opt.figures.empty() && opt.schemes.empty() &&
         opt.protections.empty() && opt.optimizePatterns.empty() &&
         !opt.serve && !opt.lifetime) {

@@ -127,9 +127,15 @@ class ShardWorker
                 ++rep.counters.rbwCharged;
             const unsigned delay = sched.issueDemand();
             rep.counters.portDelay += delay;
-            latency = cfg.writeLatency + delay;
+            // A write whose old word is detected-uncorrectable recovers
+            // the bank first; its sweep is charged as a read's is.
+            TwoDimArray &bank = store.bank(store.bankOf(local));
+            const uint64_t before = bank.stats().recoveries;
             store.writeWord(local, expandValue(req.value,
                                                store.dataBits()));
+            const uint64_t sweep_reads = sweepReadsSince(bank, before);
+            rep.counters.recoveryRowReads += sweep_reads;
+            latency = cfg.writeLatency + delay + sweep_reads;
             golden[local] = req.value;
             written[local] = 1;
         }
@@ -156,11 +162,22 @@ class ShardWorker
         TwoDimArray &bank = store.bank(store.bankOf(local));
         const uint64_t before = bank.stats().recoveries;
         const AccessResult res = store.readWord(local);
-        if (bank.stats().recoveries != before) {
-            ++rep.counters.recoveries;
-            sweep_reads = bank.lastRecovery().rowReads;
-        }
+        sweep_reads = sweepReadsSince(bank, before);
         return res;
+    }
+
+    /**
+     * Count the recovery @p bank ran since its recovery count was
+     * @p before, if any, and return that sweep's row reads (0 if none
+     * ran). One access starts at most one recovery.
+     */
+    uint64_t
+    sweepReadsSince(const TwoDimArray &bank, uint64_t before)
+    {
+        if (bank.stats().recoveries == before)
+            return 0;
+        ++rep.counters.recoveries;
+        return bank.lastRecovery().rowReads;
     }
 
     /** Fire every scrub/injection event scheduled at or before @p t. */

@@ -99,8 +99,9 @@ struct ServiceCounters
     uint64_t corrected = 0;    ///< reads repaired (in-line or sweep)
     uint64_t due = 0;          ///< detected-uncorrectable reads
     uint64_t sdc = 0;          ///< silently wrong reads
-    uint64_t recoveries = 0;   ///< demand-read-triggered sweeps
-    uint64_t recoveryRowReads = 0; ///< latency charged to those sweeps
+    uint64_t recoveries = 0;   ///< sweeps started by any access
+    /** Sweep latency charged to demand reads and writes. */
+    uint64_t recoveryRowReads = 0;
     uint64_t scrubSteps = 0;
     uint64_t scrubRepairs = 0; ///< scrub reads that fixed something
     uint64_t scrubDue = 0;     ///< scrub reads left uncorrectable

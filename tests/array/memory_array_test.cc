@@ -92,6 +92,47 @@ TEST(MemoryArray, AccessCounters)
     EXPECT_EQ(arr.writeCount(), 0u);
 }
 
+TEST(MemoryArray, VersionCountsEveryMutationAndNoRead)
+{
+    MemoryArray arr(4, 8);
+    uint64_t last = arr.version();
+    const auto expectBumped = [&](const char *what) {
+        EXPECT_GT(arr.version(), last) << what;
+        last = arr.version();
+    };
+    arr.writeRow(0, BitVector(8, 0x5A));
+    expectBumped("writeRow");
+    arr.xorRow(1, BitVector(8, 0x0F));
+    expectBumped("xorRow");
+    arr.writeBit(2, 3, true);
+    expectBumped("writeBit");
+    arr.flipBit(2, 4);
+    expectBumped("flipBit");
+    arr.addStuckAt(3, 1, true);
+    expectBumped("addStuckAt");
+    arr.clearFault(3, 1);
+    expectBumped("clearFault");
+    arr.addStuckAt(3, 2, false);
+    expectBumped("addStuckAt");
+    arr.clearRowFaults(3);
+    expectBumped("clearRowFaults");
+    arr.addStuckAt(0, 0, false);
+    expectBumped("addStuckAt");
+    arr.clearAllFaults();
+    expectBumped("clearAllFaults");
+
+    // Reads, borrows, queries and counter resets change nothing.
+    BitVector row;
+    arr.readRow(0);
+    arr.readRowInto(1, row);
+    arr.copyRowInto(2, row);
+    arr.viewRow(3);
+    arr.readBit(2, 3);
+    arr.stuckRows();
+    arr.resetCounters();
+    EXPECT_EQ(arr.version(), last);
+}
+
 TEST(MemoryArray, IsStuckQuery)
 {
     MemoryArray arr(2, 2);

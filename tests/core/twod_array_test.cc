@@ -3,6 +3,7 @@
 #include "array/fault.hh"
 #include "common/rng.hh"
 #include "core/twod_array.hh"
+#include "ecc/code_factory.hh"
 
 namespace tdc
 {
@@ -93,6 +94,41 @@ TEST(TwoDimArray, EveryWriteIsReadBeforeWrite)
         arr.writeWord(0, 0, data);
     EXPECT_EQ(arr.stats().writes, 10u);
     EXPECT_EQ(arr.stats().readBeforeWrites, 10u);
+}
+
+TEST(TwoDimArray, OverwritingAFaultyWordKeepsParityConsistent)
+{
+    // A fault in the word a write replaces must not reach the parity:
+    // read-before-write folds out the old word's intended value. The
+    // fault is a flip at column c of row r; a later single-bit fault at
+    // column c of another row in the same parity group is then
+    // recoverable. Folding out the faulty old word instead would leave
+    // the parity wrong at c, cancel that later flip in the group's
+    // vertical syndrome and turn the read into a DUE.
+    TwoDimConfig edc = smallConfig();
+    TwoDimConfig secded = TwoDimConfig::secdedHorizontal();
+    secded.dataRows = 64;
+    secded.verticalParityRows = 8;
+    for (const TwoDimConfig &cfg : {edc, secded}) {
+        SCOPED_TRACE(codeKindName(cfg.horizontalKind));
+        Rng rng(140);
+        TwoDimArray arr(cfg);
+        auto golden = fill(arr, rng);
+        const size_t r = 10, s = 2;
+        const size_t c = arr.interleave().physicalColumn(s, 17);
+        arr.cells().flipBit(r, c);
+
+        golden[r][s] = BitVector(arr.dataBits(), rng.next());
+        arr.writeWord(r, s, golden[r][s]);
+        EXPECT_TRUE(arr.verifyParity());
+
+        const size_t other = r + cfg.verticalParityRows;
+        arr.cells().flipBit(other, c);
+        const AccessResult res = arr.readWord(other, s);
+        EXPECT_TRUE(res.ok());
+        EXPECT_EQ(res.data, golden[other][s]);
+        expectAllGolden(arr, golden);
+    }
 }
 
 TEST(TwoDimArray, RecoversSingleRowBurst)

@@ -251,6 +251,37 @@ TEST(TdcRun, UsageErrorsExitTwoWithQuotedToken)
                       trace.string()},
                      "--record-trace requires --serve");
     EXPECT_FALSE(std::filesystem::exists(trace));
+    // Flags no selected mode reads are refused too: the figures fix
+    // their own trials, seeds and scrub settings, and --cpu reads only
+    // --format.
+    expectUsageError({"--figure", "table1", "--scrub-interval", "5"},
+                     "\"--scrub-interval\" is not read by --figure");
+    expectUsageError({"--figure", "table1", "--objective", "area"},
+                     "\"--objective\" is not read by --figure");
+    expectUsageError({"--figure", "table1", "--mission", "100"},
+                     "\"--mission\" is not read by --figure");
+    expectUsageError({"--figure", "table1", "--events", "7", "--seed", "3"},
+                     "\"--events\" is not read by --figure");
+    expectUsageError({"--figure", "table1", "--seed", "3"},
+                     "\"--seed\" is not read by --figure");
+    expectUsageError({"--figure", "table1", "--trials", "7"},
+                     "\"--trials\" is not read by --figure");
+    expectUsageError({"--cpu", "--shards", "4"},
+                     "\"--shards\" is not read by --cpu");
+    expectUsageError({"--cpu", "--figure", "table1"},
+                     "\"--figure\" is not read by --cpu");
+    expectUsageError({"--protection", "l1", "--cycles", "2000", "--events",
+                      "3"},
+                     "\"--events\" is not read by --protection");
+    expectUsageError({"--serve", "uniform/n1e3/w30", "--events", "3"},
+                     "\"--events\" is not read by --serve");
+    expectUsageError({"--optimize", "2d:edc8/i4+vp32", "--mission", "9"},
+                     "\"--mission\" is not read by --optimize");
+    // Modes still combine: the custom grid reads --events.
+    EXPECT_NE(runOk({"--figure", "table1", "--scheme", "2d:edc8/i4+vp32",
+                     "--fault", "single", "--events", "2"})
+                  .find("2D"),
+              std::string::npos);
     expectUsageError({"--protection", "l3"}, "\"l3\"");
     expectUsageError({"--protection", "l1", "--workload", "NoSuch"},
                      "\"NoSuch\"");

@@ -304,6 +304,45 @@ TEST(LifetimeEngine, EverySchemeFamilyOpensASession)
     }
 }
 
+TEST(LifetimeEngine, RowRepairKeepsTheParityGroupRecoverable)
+{
+    // The spare-row repair path: two stuck cells that disagree with
+    // the golden data, in rows 3 and 19 of one parity group (V = 16)
+    // and in two bits of word 1. SECDED corrects each in line, so the
+    // scrub is clean and both rows are repaired. repairRow rewrites
+    // the golden words through the read-before-write path, which must
+    // fold out the corrected old words, not the stuck values; else
+    // the parity is left wrong in both bits. A later 5-bit burst in
+    // row 35 of the same group (two bits in word 1) is then
+    // reconstructed with a double error in word 1, a DUE.
+    const SchemePtr scheme = parseScheme("2d:secded/i4+vp16/r64");
+    Rng fill(141);
+    const std::unique_ptr<DeviceSession> dev = scheme->openSession(fill);
+    Rng rng(142);
+    FaultModel stuck = FaultModel::cluster(1, 1);
+    stuck.persistence = FaultPersistence::kStuckAt;
+    stuck.rowLo = 3;
+    stuck.colLo = 1; // word 1, bit 0
+    dev->inject(stuck, rng);
+    stuck.rowLo = 19;
+    stuck.colLo = 5; // word 1, bit 1
+    dev->inject(stuck, rng);
+    ASSERT_EQ(dev->scrubAndVerify(), DeviceSession::Verdict::kCorrected);
+
+    const std::vector<std::pair<size_t, size_t>> rows = {{3, 1}, {19, 1}};
+    ASSERT_EQ(dev->stuckRows(), rows);
+    dev->repairRow(3);
+    dev->repairRow(19);
+    EXPECT_TRUE(dev->stuckRows().empty());
+    EXPECT_EQ(dev->scrubAndVerify(), DeviceSession::Verdict::kCorrected);
+
+    FaultModel later = FaultModel::cluster(5, 1);
+    later.rowLo = 35;
+    later.colLo = 1;
+    dev->inject(later, rng);
+    EXPECT_EQ(dev->scrubAndVerify(), DeviceSession::Verdict::kCorrected);
+}
+
 TEST(LifetimeEngine, CachedEqualsDirect)
 {
     resultCache().setDirectory("");

@@ -160,6 +160,27 @@ TEST(CacheService, ScrubbedFaultsAreNeverVisibleToLaterReads)
               0u);
 }
 
+TEST(CacheService, SingleBitFaultsNeverSurfaceAsDue)
+{
+    // 2D coding corrects any single-bit fault, so no read may come
+    // out DUE, whether a demand read, a scrub read or a write's
+    // read-before-write meets the fault first. A write that folded
+    // a faulty old word into the vertical parity used to poison the
+    // group for a later fault (this run read 4 DUE, 10 scrub DUE).
+    ServiceConfig cfg; // 4 shards x 4 L1 banks, 2d:edc8/i4+vp32
+    cfg.scrubInterval = 16;
+    cfg.faultInterval = 1024;
+    cfg.fault = FaultModel::singleBit();
+    const ServiceReport rep = CacheService(cfg).serve(buildRequests(
+        parseRequestSpec("uniform/n5e4/w50"), cfg.totalWords(), cfg.seed));
+    const ServiceCounters &c = rep.total.counters;
+    EXPECT_GT(c.faultEvents, 100u);
+    EXPECT_GT(c.recoveries, 0u);
+    EXPECT_EQ(c.due, 0u);
+    EXPECT_EQ(c.scrubDue, 0u);
+    EXPECT_EQ(c.sdc, 0u);
+}
+
 TEST(CacheService, ThroughputCountsSimulatedTicksOnly)
 {
     const ServiceConfig cfg = smallConfig();

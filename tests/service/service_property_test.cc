@@ -4,7 +4,8 @@
  * single-shard oracle: an independent, straight-line reimplementation
  * of the documented shard semantics (partition by address mod shards,
  * per-shard clamped clock, RBW port stealing, round-robin scrub,
- * injection-domain fault streams, golden-value classification). For
+ * injection-domain fault streams, golden-value classification, sweep
+ * latency charged to the read or write that started it). For
  * every generator shape the sharded parallel service must match the
  * oracle EXACTLY — final store statistics, every reliability counter,
  * the full latency histogram, and every per-request outcome — and
@@ -89,9 +90,19 @@ class ShardOracle
                 ++counters.rbwCharged;
             const unsigned delay = sched.issueDemand();
             counters.portDelay += delay;
-            latency = cfg.writeLatency + delay;
+            // A write over a detected-uncorrectable old word recovers
+            // first and is charged that sweep like a read.
+            TwoDimArray &bank = store.bank(store.bankOf(local));
+            const uint64_t before = bank.stats().recoveries;
             store.writeWord(local, expandValue(req.value,
                                                store.dataBits()));
+            uint64_t sweep = 0;
+            if (bank.stats().recoveries != before) {
+                ++counters.recoveries;
+                sweep = bank.lastRecovery().rowReads;
+            }
+            counters.recoveryRowReads += sweep;
+            latency = cfg.writeLatency + delay + sweep;
             golden[local] = req.value;
             written[local] = 1;
         }
