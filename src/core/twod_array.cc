@@ -28,10 +28,10 @@ TwoDimArray::writeWord(size_t row, size_t slot, const BitVector &value)
 
     // The parity holds the old word's intended value, so the old word
     // is checked before it is folded out: a fault in it must not land
-    // in the parity. A clean word costs one syndrome check.
-    map.extractWordInto(rowScratch, slot, cwScratch);
-    if (!horizontal->syndromeClean(cwScratch)) {
-        DecodeResult old = horizontal->decode(cwScratch);
+    // in the parity. A clean row costs one fused line check.
+    if (!line.lineClean(rowScratch)) {
+        DecodeResult old =
+            horizontal->decode(map.extractWord(rowScratch, slot));
         if (old.uncorrectable()) {
             // As readWord: recover the bank, then re-read the row.
             recover();
