@@ -143,8 +143,9 @@ class MemoryArray
      * Monotonic mutation count: bumped by every member that changes
      * stored state or the fault overlay (writeRow, xorRow, writeBit,
      * flipBit, addStuckAt, clearFault, clearAllFaults,
-     * clearRowFaults), never reset. Equal versions mean equal visible
-     * contents, which lets TwoDimArray reuse a failed recovery.
+     * clearRowFaults), never reset. An unchanged version means
+     * unchanged contents, which lets TwoDimArray reuse a failed
+     * recovery.
      */
     uint64_t version() const { return mutations; }
 
